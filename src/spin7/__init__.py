@@ -6,9 +6,8 @@ derived from that product, the seven almost complex structures, and the
 spin(7)/g2 stabilizer algebras with their exact decomposition of so(8).
 """
 
-from .forms import AltForm, FormParseError, cayley_form, hodge_star, parse_form, print_form, wedge
+from .forms import AltForm, FormParseError, cayley_form, parse_form, print_form
 from .linalg import (
-    GramMetric,
     Matrix,
     Vector,
     gram_det,
@@ -74,7 +73,6 @@ __all__ = [
     "CrossProduct",
     "FormParseError",
     "FrameNotAdmissible",
-    "GramMetric",
     "InputNotInE0Perp",
     "LieSubalgebra",
     "Matrix",
@@ -104,7 +102,6 @@ __all__ = [
     "form_action",
     "g2_stabilizer",
     "gram_det",
-    "hodge_star",
     "kernel_basis",
     "oct_mul",
     "parse_form",
@@ -122,5 +119,4 @@ __all__ = [
     "times_product",
     "verify_compatibility",
     "verify_composition_lemma",
-    "wedge",
 ]

@@ -59,20 +59,23 @@ class ACS:
         return self.matrix @ v
 
 
+def _j_images(frame: list[Vector], lam: int, cp: CrossProduct) -> list[Vector]:
+    """J_lam applied to each frame vector f_i: f_0 -> f_lam, f_lam -> -f_0,
+    and P(f_0, f_lam, f_i) otherwise."""
+    return [
+        frame[lam] if i == 0
+        else -frame[0] if i == lam
+        else cp.cross3(frame[0], frame[lam], frame[i])
+        for i in range(8)
+    ]
+
+
 def build_acs(lam: int, cp: CrossProduct | None = None) -> ACS:
     """The structure J_lam with J_lam v = P(e0, e_lam, v) off span{e0, e_lam}."""
     if not 1 <= lam <= 7:
         raise ValueError("lam must lie in 1..7")
-    cp = cp or default_cross()
     basis = [Vector.basis(8, i) for i in range(8)]
-    cols = []
-    for i in range(8):
-        if i == 0:
-            cols.append(basis[lam])
-        elif i == lam:
-            cols.append(-basis[0])
-        else:
-            cols.append(cp.cross3(basis[0], basis[lam], basis[i]))
+    cols = _j_images(basis, lam, cp or default_cross())
     return ACS(Matrix.from_columns([c.comps for c in cols]), label=lam)
 
 
@@ -207,15 +210,7 @@ def rotated_acs_family(r: Matrix, cp: CrossProduct | None = None) -> list[Matrix
     frame = [r.column(i) for i in range(8)]
     out = []
     for lam in range(1, 8):
-        frame_cols = []
-        for i in range(8):
-            if i == 0:
-                frame_cols.append(frame[lam])
-            elif i == lam:
-                frame_cols.append(-frame[0])
-            else:
-                frame_cols.append(cp.cross3(frame[0], frame[lam], frame[i]))
-        sparse = [fc.nonzero() for fc in frame_cols]
+        sparse = [fc.nonzero() for fc in _j_images(frame, lam, cp)]
         # express on the standard basis: e_j = sum_i R[j][i] e'_i for orthogonal R
         cols = []
         for j in range(8):
@@ -227,11 +222,6 @@ def rotated_acs_family(r: Matrix, cp: CrossProduct | None = None) -> list[Matrix
             cols.append(acc)
         out.append(Matrix.from_columns(cols))
     return out
-
-
-def rotated_acs(r: Matrix, lam: int, cp: CrossProduct | None = None) -> Matrix:
-    """J_lam built from the rotated frame e'_i = R e_i, in standard coordinates."""
-    return rotated_acs_family(r, cp)[lam - 1]
 
 
 def _as_signed_permutation(r: Matrix) -> list[tuple[int, int]] | None:
@@ -262,7 +252,7 @@ def check_frame(r: Matrix, cp: CrossProduct | None = None) -> None:
     cols = _as_signed_permutation(r)
     if cols is not None:
         # signed permutations are orthogonal; the form check reduces to
-        # mapping the term monomials
+        # mapping the term monomials: phi(R e_key) = eps * phi(e_sigma(key))
         sigma = [row for row, _ in cols]
         _, sgn_sigma = sort_with_sign(sigma)
         detr = sgn_sigma
@@ -270,14 +260,12 @@ def check_frame(r: Matrix, cp: CrossProduct | None = None) -> None:
             detr *= e
         if detr != 1:
             raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
-        terms = cp.phi.terms
-        for key, c in terms.items():
-            image, sgn = sort_with_sign([sigma[t] for t in key])
-            target = terms.get(image)
+        tab = cp.phi_signed
+        for key, c in cp.phi.terms.items():
             eps = 1
             for t in key:
                 eps *= cols[t][1]
-            if target is None or eps * sgn * target != c:
+            if eps * tab.get(tuple(sigma[t] for t in key), 0) != c:
                 raise FrameNotAdmissible("frame matrix does not preserve the form")
         return
     if r.transpose() @ r != Matrix.identity(8):

@@ -1,10 +1,11 @@
 """Triple cross product induced by a 4-form, and the rank-2 product on e0-perp.
 
-The product is defined through the duality g(P(a,b,c), x) = phi(a,b,c,x);
-for the identity metric the components of P(a,b,c) are plain form
-evaluations. The induced product P(e0, ., .) on the orthogonal complement
-of e_0 determines a 3-form on indices 1..7 whose coefficients are the
-structure constants of the unit product table.
+The product is defined through the duality g(P(a,b,c), x) = phi(a,b,c,x).
+Everything is read in an orthonormal frame, where g is the dot product and
+component m of P(a,b,c) is the plain form evaluation phi(a,b,c,e_m). The
+induced product P(e0, ., .) on the orthogonal complement of e_0 determines
+a 3-form on indices 1..7 whose coefficients are the structure constants of
+the unit product table.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .forms import AltForm, cayley_form
-from .linalg import GramMetric, Vector, gram_det
+from .forms import AltForm, cayley_form, signed_coefficients
+from .linalg import Vector, gram_det
 
 
 class InputNotInE0Perp(ValueError):
@@ -24,7 +25,7 @@ class InputNotInE0Perp(ValueError):
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    """Exact residuals of the metric-compatibility identities."""
+    """Exact residuals of the orthogonality and norm identities."""
 
     orthogonality: tuple[Fraction, Fraction, Fraction]
     norm_residual: Fraction
@@ -47,44 +48,33 @@ class LemmaReport:
 
 
 class CrossProduct:
-    """The alternating triple product dual to a 4-form under a metric."""
+    """The alternating triple product dual to a 4-form under the dot product.
 
-    def __init__(self, phi: AltForm | None = None, metric: GramMetric | None = None):
+    ``phi_signed`` is the form's :func:`signed_coefficients` table, built
+    once here; every signed coefficient lookup on phi reads it.
+    """
+
+    def __init__(self, phi: AltForm | None = None):
         phi = phi if phi is not None else cayley_form()
         if phi.degree != 4:
             raise ValueError("the inducing form must have degree 4")
         self.phi = phi
-        self.metric = metric or GramMetric(dim=8)
-        self._metric_inv = None if self.metric.is_identity() else self.metric.matrix.inverse()
+        self.phi_signed = signed_coefficients(phi)
         self._basis = tuple(Vector.basis(8, i) for i in range(8))
         self._unit_products: dict[tuple[int, int, int], Vector] = {}
-
-    def _cross3_units(self, i: int, j: int, k: int) -> Vector:
-        key = (i, j, k)
-        cached = self._unit_products.get(key)
-        if cached is not None:
-            return cached
-        comps = [0] * 8
-        if i != j and j != k and i != k:
-            for m in range(8):
-                if m == i or m == j or m == k:
-                    continue
-                co = self.phi.coefficient_signed((i, j, k, m))
-                if co:
-                    comps[m] = co
-        rhs = Vector(comps)
-        result = rhs if self._metric_inv is None else self._metric_inv @ rhs
-        self._unit_products[key] = result
-        return result
 
     def cross3(self, a: Vector, b: Vector, c: Vector) -> Vector:
         """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i."""
         na, nb, nc = a.nonzero(), b.nonzero(), c.nonzero()
         if len(na) == 1 and len(nb) == 1 and len(nc) == 1:
             (i, ca), (j, cb), (k, cc) = na[0], nb[0], nc[0]
-            base = self._cross3_units(i, j, k)
+            base = self._unit_products.get((i, j, k))
+            if base is None:
+                base = Vector([self.phi_signed.get((i, j, k, m), 0) for m in range(8)])
+                self._unit_products[(i, j, k)] = base
             w = ca * cb * cc
             return base if w == 1 else base * w
+        tab = self.phi_signed
         comps = [0] * 8
         for i, ca in na:
             for j, cb in nb:
@@ -96,26 +86,20 @@ class CrossProduct:
                         continue
                     w = w2 * cc
                     for m in range(8):
-                        if m == i or m == j or m == k:
-                            continue
-                        co = self.phi.coefficient_signed((i, j, k, m))
+                        co = tab.get((i, j, k, m))
                         if co:
                             comps[m] += w * co
-        rhs = Vector(comps)
-        if self._metric_inv is None:
-            return rhs
-        return self._metric_inv @ rhs
+        return Vector(comps)
 
     def check_compatibility(self, a: Vector, b: Vector, c: Vector) -> CompatibilityReport:
         """Residuals of orthogonality to each argument and of the norm identity.
 
-        All residuals are exactly zero for a metric-compatible product.
+        All residuals are exactly zero for a compatible product.
         """
         p = self.cross3(a, b, c)
-        g = self.metric.inner
         return CompatibilityReport(
-            orthogonality=(g(p, a), g(p, b), g(p, c)),
-            norm_residual=g(p, p) - gram_det([a, b, c], self.metric),
+            orthogonality=(p.dot(a), p.dot(b), p.dot(c)),
+            norm_residual=p.dot(p) - gram_det([a, b, c]),
         )
 
     def cross2(self, u: Vector, v: Vector) -> Vector:
@@ -148,7 +132,7 @@ class CrossProduct:
         Uses the pairing g(x^y, s^t) = g(x,s)g(y,t) - g(x,t)g(y,s) verbatim,
         including its index order in the w^u term.
         """
-        g = self.metric.inner
+        g = Vector.dot
         phi = self.phi.evaluate
 
         def wedge_pair(x: Vector, y: Vector, s: Vector, t: Vector) -> Fraction:
@@ -190,7 +174,7 @@ class CrossProduct:
 
 @cache
 def default_cross() -> CrossProduct:
-    """Cross product of the Cayley form with the identity metric."""
+    """Cross product of the Cayley form."""
     return CrossProduct()
 
 
@@ -256,36 +240,28 @@ def verify_composition_lemma(
         raise ValueError("scope must be 'all-basis' or 'sample'")
 
     # Exhaustive basis sweep with precomputed basis products; identical to
-    # calling cross3 directly, just without re-deriving basis values 32768
-    # times.
+    # calling composition_sides directly, just without re-deriving basis
+    # values 32768 times. On basis vectors g(e_x, e_y) is x == y.
     basis = [Vector.basis(8, i) for i in range(8)]
     ptab: dict[tuple[int, int, int], Vector] = {}
     for i in range(8):
         for j in range(8):
             for k in range(8):
                 ptab[(i, j, k)] = cp.cross3(basis[i], basis[j], basis[k])
-    gtab = [[cp.metric.inner(basis[i], basis[j]) for j in range(8)] for i in range(8)]
-    phi_tab: dict[tuple[int, int, int, int], Fraction] = {}
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                for m in range(8):
-                    c = cp.phi.coefficient_signed((i, j, k, m))
-                    if c:
-                        phi_tab[(i, j, k, m)] = c
+    phi_tab = cp.phi_signed
     zero = Vector.zero(8)
     for a in range(8):
         for b in range(8):
             for u in range(8):
-                gau = gtab[a][u]
-                gbu = gtab[b][u]
+                gau = int(a == u)
+                gbu = int(b == u)
                 for v in range(8):
-                    gav = gtab[a][v]
-                    gbv = gtab[b][v]
+                    gav = int(a == v)
+                    gbv = int(b == v)
                     for w in range(8):
                         report.cases += 1
-                        gaw = gtab[a][w]
-                        gbw = gtab[b][w]
+                        gaw = int(a == w)
+                        gbw = int(b == w)
                         inner = ptab[(u, v, w)]
                         lhs = zero
                         for m, c in inner.nonzero():

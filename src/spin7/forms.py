@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .linalg import F0, F1, Matrix, Vector, det
@@ -247,16 +247,26 @@ def _index_products(supports):
     return stack
 
 
-def wedge(f: AltForm, g: AltForm) -> AltForm:
-    return f.wedge(g)
+@cache
+def _permutation_signs(k: int) -> tuple[int, ...]:
+    """Signs of ``permutations(range(k))``, in the order it yields them."""
+    return tuple(sort_with_sign(p)[1] for p in permutations(range(k)))
 
 
-def hodge_star(f: AltForm) -> AltForm:
-    return f.star()
+def signed_coefficients(f: AltForm) -> dict[tuple[int, ...], Fraction]:
+    """Expand the terms into {ordered index tuple: signed coefficient}.
 
-
-def evaluate(f: AltForm, vectors: Sequence[Vector]) -> Fraction:
-    return f.evaluate(vectors)
+    Every ordering of every term's indices gets the term coefficient times
+    the sign of the reordering; tuples with a repeated index or outside the
+    terms are absent, so ``.get(indices, 0)`` agrees with
+    :meth:`AltForm.coefficient_signed`.
+    """
+    signs = _permutation_signs(f.degree)
+    table = {}
+    for key, c in f.terms.items():
+        for image, sign in zip(permutations(key), signs):
+            table[image] = c if sign > 0 else -c
+    return table
 
 
 def pullback(f: AltForm, m: Matrix) -> AltForm:

@@ -232,13 +232,6 @@ class Matrix:
             for j in range(i, self.ncols)
         )
 
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
-
     def is_zero(self) -> bool:
         return all(not c for r in self.rows for c in r)
 
@@ -294,40 +287,6 @@ class Matrix:
         return m
 
 
-class GramMetric:
-    """Symmetric positive-definite inner product; defaults to the identity."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Matrix | None = None, dim: int = 8):
-        if matrix is None:
-            matrix = Matrix.identity(dim)
-        if not matrix.is_symmetric():
-            raise ValueError("metric matrix must be symmetric")
-        for k in range(1, matrix.nrows + 1):
-            minor = [row[:k] for row in matrix.rows[:k]]
-            if det(minor) <= 0:
-                raise ValueError("metric matrix must be positive definite")
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
-
-    def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.dim)
-
-    def inner(self, u: Vector, v: Vector) -> Fraction:
-        if self.is_identity():
-            return u.dot(v)
-        return u.dot(self.matrix @ v)
-
-    def gram(self, vectors: Sequence[Vector]) -> Matrix:
-        return Matrix(
-            [self.inner(u, v) for v in vectors] for u in vectors
-        )
-
-
 RowLike = Union[Vector, Sequence[Scalarish]]
 
 
@@ -361,12 +320,11 @@ def det(rows: Union[Matrix, Sequence[RowLike]]) -> Fraction:
     return result
 
 
-def gram_det(vectors: Sequence[Vector], metric: GramMetric | None = None) -> Fraction:
-    """Determinant of the pairwise inner-product matrix of 1..8 vectors."""
+def gram_det(vectors: Sequence[Vector]) -> Fraction:
+    """Determinant of the pairwise dot-product matrix of 1..8 vectors."""
     if not 1 <= len(vectors) <= 8:
         raise ValueError("gram_det takes between 1 and 8 vectors")
-    g = metric or GramMetric(dim=len(vectors[0]))
-    return det(g.gram(vectors))
+    return det([[u.dot(v) for v in vectors] for u in vectors])
 
 
 def rref(rows: Sequence[RowLike], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

@@ -13,7 +13,7 @@ from functools import cache
 from typing import Iterable, NamedTuple
 
 from .forms import AltForm, cayley_form
-from .linalg import GramMetric, Vector, _exact
+from .linalg import Vector, _exact
 
 
 class SignedUnit(NamedTuple):
@@ -46,8 +46,8 @@ class UnitTable:
     """7x7 signed product table of the imaginary units e_1..e_7.
 
     Every off-diagonal product is a signed basis unit +/-e_nu with
-    nu not in {0, lam, mu}; the diagonal is fixed to -e_0 and the table is
-    antisymmetric off the diagonal.
+    nu not in {0, lam, mu}; the diagonal is fixed to -e_0 and swapping lam
+    and mu flips the sign of every off-diagonal entry.
     """
 
     __slots__ = ("entries",)
@@ -65,11 +65,11 @@ class UnitTable:
                         f"product ({lam},{mu}) hit forbidden index {unit.index}"
                     )
                 if entries[(mu, lam)] != -unit:
-                    raise ValueError(f"table not antisymmetric at ({lam},{mu})")
+                    raise ValueError(f"entries ({lam},{mu}) and ({mu},{lam}) are not opposite")
         self.entries = dict(entries)
 
     @classmethod
-    def from_form(cls, phi: AltForm | None = None, metric: GramMetric | None = None) -> "UnitTable":
+    def from_form(cls, phi: AltForm | None = None) -> "UnitTable":
         """Derive the table entries e_lam * e_mu from the triple cross product.
 
         Each product of distinct imaginary frame units must come out as a
@@ -78,7 +78,7 @@ class UnitTable:
         """
         from .cross import CrossProduct
 
-        cp = CrossProduct(phi if phi is not None else cayley_form(), metric)
+        cp = CrossProduct(phi if phi is not None else cayley_form())
         e = [Vector.basis(8, i) for i in range(8)]
         entries: dict[tuple[int, int], SignedUnit] = {}
         for lam in range(1, 8):
@@ -146,7 +146,7 @@ class UnitTable:
 
 @cache
 def default_table() -> UnitTable:
-    """The unit table of the Cayley form with the identity metric."""
+    """The unit table of the Cayley form."""
     return UnitTable.from_form(cayley_form())
 
 

@@ -20,7 +20,8 @@ from functools import cache
 from itertools import combinations, permutations
 
 from .acs import acs_basis
-from .forms import AltForm, cayley_form, sort_with_sign
+from .cross import default_cross
+from .forms import AltForm, cayley_form, signed_coefficients, sort_with_sign
 from .linalg import (
     Matrix,
     RowSpan,
@@ -53,15 +54,14 @@ def form_action(a: Matrix, f: AltForm) -> AltForm:
     one-parameter group it generates preserves the form.
     """
     k = f.degree
+    tab = signed_coefficients(f)
     columns = [tuple(a.column(j).nonzero()) for j in range(a.ncols)]
     acc: dict[tuple[int, ...], Fraction] = {}
     for key in combinations(range(8), k):
         total = 0
         for p in range(k):
             for s, c in columns[key[p]]:
-                seq = list(key)
-                seq[p] = s
-                value = f.coefficient_signed(seq)
+                value = tab.get(key[:p] + (s,) + key[p + 1:])
                 if value:
                     total += c * value
         if total:
@@ -138,8 +138,6 @@ def spin7() -> LieSubalgebra:
 @cache
 def g2_stabilizer() -> LieSubalgebra:
     """Exact kernel of the so(7) action on the induced 3-form (dim 14)."""
-    from .cross import default_cross
-
     psi = default_cross().associative_form()
     tuples3 = list(combinations(range(1, 8), 3))
     columns = []
@@ -148,15 +146,9 @@ def g2_stabilizer() -> LieSubalgebra:
         columns.append([acted.coefficient(t) for t in tuples3])
     rows = [[columns[p][t] for p in range(len(SO7_PAIRS))] for t in range(len(tuples3))]
     coords = kernel_basis(rows, len(SO7_PAIRS))
-    basis = []
-    for v in coords:
-        m = [[0] * 7 for _ in range(7)]
-        for c, (i, j) in zip(v, SO7_PAIRS):
-            if c:
-                m[i - 1][j - 1] += c
-                m[j - 1][i - 1] -= c
-        basis.append(Matrix(m))
-    return LieSubalgebra("g2", 7, tuple(basis))
+    pairs = [(i - 1, j - 1) for i, j in SO7_PAIRS]
+    basis = tuple(_coords_to_matrix(v, pairs, 7) for v in coords)
+    return LieSubalgebra("g2", 7, basis)
 
 
 def embed_so7(m: Matrix) -> Matrix:
@@ -166,15 +158,6 @@ def embed_so7(m: Matrix) -> Matrix:
         for j in range(7):
             rows[i + 1][j + 1] = m[i][j]
     return Matrix(rows)
-
-
-@cache
-def _acs_trace_gram_inverse() -> Matrix:
-    js = [j.matrix for j in acs_basis()]
-    gram = Matrix(
-        [(a.transpose() @ b).trace() for b in js] for a in js
-    )
-    return gram.inverse()
 
 
 @dataclass(frozen=True)
@@ -219,15 +202,14 @@ def extract_omega(rho: Matrix) -> OmegaExtraction:
         )
         raise ValueError(f"rho is not antisymmetric at {bad}")
     js = [j.matrix for j in acs_basis()]
-    gram_inv = _acs_trace_gram_inverse()
     omega_cols = []
     residuals = []
     for lam in range(1, 8):
         delta = rho.commutator(js[lam - 1])
-        pairings = Vector(
-            (js[mu - 1].transpose() @ delta).trace() for mu in range(1, 8)
+        # the trace Gram matrix of J_1..J_7 is 8 I
+        coeffs = Vector(
+            Fraction((js[mu - 1].transpose() @ delta).trace(), 8) for mu in range(1, 8)
         )
-        coeffs = gram_inv @ pairings
         recon = Matrix.zero(8, 8)
         for mu in range(1, 8):
             c = coeffs[mu - 1]
@@ -392,6 +374,7 @@ def signed_perm_symmetries(limit: int | None = None) -> list[Matrix]:
     the search once that many symmetries are found.
     """
     phi = cayley_form()
+    tab = default_cross().phi_signed
     term_sets = set(phi.terms)
     results: list[Matrix] = []
     if limit == 0:
@@ -408,8 +391,7 @@ def signed_perm_symmetries(limit: int | None = None) -> list[Matrix]:
         masks = []
         rhs = []
         for key, c in phi.terms.items():
-            image, sgn = sort_with_sign([sigma[t] for t in key])
-            target = c * sgn * phi.terms[image]
+            target = c * tab[tuple(sigma[t] for t in key)]
             mask = 0
             for t in key:
                 mask |= 1 << t

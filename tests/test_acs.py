@@ -14,6 +14,7 @@ from spin7.acs import (
     acs_from_unit,
     acs_span_dim,
     build_acs,
+    check_frame,
     composition_disagreement,
     matrix_for_label,
     rotated_acs_family,
@@ -22,6 +23,7 @@ from spin7.acs import (
     times_product,
 )
 from spin7.cross import default_cross
+from spin7.forms import cayley_form, pullback
 from spin7.linalg import Matrix, Vector, rank
 from spin7.octonion import SignedUnit, default_table
 
@@ -225,6 +227,33 @@ class TestSpanStability:
         rows[2][2] = Fraction(3, 5)
         with pytest.raises(FrameNotAdmissible):
             span_stability(Matrix(rows))
+
+
+class TestCheckFrameSignedPermutations:
+    @staticmethod
+    def admitted(r):
+        try:
+            check_frame(r)
+        except FrameNotAdmissible:
+            return False
+        return True
+
+    def test_agrees_with_pullback(self):
+        from spin7.stabilizers import signed_perm_symmetries
+
+        phi = cayley_form()
+        syms = signed_perm_symmetries(limit=50)
+        for r in syms:
+            assert self.admitted(r) and pullback(phi, r) == phi
+        # flipping two columns keeps det = +1, so the form check decides
+        for k, r in enumerate(syms[:8]):
+            rows = [list(row) for row in r.rows]
+            for row in rows:
+                row[k] = -row[k]
+                row[(k + 1) % 8] = -row[(k + 1) % 8]
+            flipped = Matrix(rows)
+            assert pullback(phi, flipped) != phi
+            assert not self.admitted(flipped)
 
 
 class TestInducedProductIdentity:

@@ -6,14 +6,13 @@ from itertools import permutations
 import pytest
 
 from spin7.cross import (
-    CrossProduct,
     InputNotInE0Perp,
     default_cross,
     verify_compatibility,
     verify_composition_lemma,
 )
-from spin7.forms import cayley_form, sort_with_sign
-from spin7.linalg import GramMetric, Matrix, Vector, gram_det
+from spin7.forms import sort_with_sign
+from spin7.linalg import Vector, gram_det
 from spin7.octonion import default_table
 
 E = [Vector.basis(8, i) for i in range(8)]
@@ -70,15 +69,6 @@ class TestCross3:
         assert cp.cross3(E[0], u, E[4]) == cp.cross3(E[0], E[1], E[4]) + 2 * cp.cross3(
             E[0], E[2], E[4]
         )
-
-    def test_duality_with_general_metric(self):
-        diag = Matrix([[4 if i == j == 7 else (1 if i == j else 0) for j in range(8)]
-                       for i in range(8)])
-        g = GramMetric(diag)
-        cp = CrossProduct(cayley_form(), g)
-        p = cp.cross3(E[0], E[1], E[6])
-        for i in range(8):
-            assert g.inner(p, E[i]) == cayley_form().evaluate([E[0], E[1], E[6], E[i]])
 
 
 class TestCompatibility:

@@ -11,12 +11,11 @@ from spin7.forms import (
     AltForm,
     FormParseError,
     cayley_form,
-    hodge_star,
     parse_form,
     print_form,
     pullback,
+    signed_coefficients,
     sort_with_sign,
-    wedge,
 )
 from spin7.linalg import Matrix, Vector
 
@@ -119,13 +118,13 @@ class TestHodge:
             terms = {k: Fraction(rng.randint(-3, 3)) for k in all_keys[:4]}
             f = AltForm(degree, {k: v for k, v in terms.items() if v})
             sign = (-1) ** (degree * (8 - degree))
-            assert hodge_star(hodge_star(f)) == sign * f
+            assert f.star().star() == sign * f
 
     def test_involution_on_even_degrees(self):
         phi = cayley_form()
-        assert hodge_star(hodge_star(phi)) == phi
+        assert phi.star().star() == phi
         two = AltForm(2, {(1, 5): Fraction(2, 3), (0, 7): -1})
-        assert hodge_star(hodge_star(two)) == two
+        assert two.star().star() == two
 
 
 def small_forms(degree):
@@ -145,22 +144,22 @@ class TestWedge:
     def test_supercommutativity(self, k, l, data):
         f = data.draw(small_forms(k))
         g = data.draw(small_forms(l))
-        assert wedge(f, g) == (-1) ** (k * l) * wedge(g, f)
+        assert f.wedge(g) == (-1) ** (k * l) * g.wedge(f)
 
     def test_square_of_two_form(self):
         f = AltForm(2, {(0, 1): 1, (2, 3): 1})
-        assert wedge(f, f) == AltForm(4, {(0, 1, 2, 3): 2})
+        assert f.wedge(f) == AltForm(4, {(0, 1, 2, 3): 2})
 
     def test_overlap_vanishes(self):
         f = AltForm(2, {(0, 1): 1})
         g = AltForm(2, {(1, 2): 1})
-        assert wedge(f, g).is_zero()
+        assert f.wedge(g).is_zero()
 
     def test_evaluation_consistency(self):
         # wedge of coordinate 1-forms evaluates like the determinant pairing
         f = AltForm(1, {(0,): 1})
         g = AltForm(1, {(1,): 1})
-        fg = wedge(f, g)
+        fg = f.wedge(g)
         assert fg.evaluate([E[0], E[1]]) == 1
         assert fg.evaluate([E[1], E[0]]) == -1
 
@@ -192,6 +191,18 @@ class TestSortWithSign:
 
     def test_repeat(self):
         assert sort_with_sign((1, 1)) == ((1, 1), 0)
+
+
+class TestSignedCoefficients:
+    # "lone" is the one-term non-Cayley form that test_octonion rejects
+    @pytest.mark.parametrize(
+        "form", [cayley_form(), AltForm(4, {(0, 1, 2, 3): 1})], ids=["phi", "lone"]
+    )
+    def test_matches_coefficient_signed(self, form):
+        table = signed_coefficients(form)
+        assert len(table) == 24 * len(form.terms)
+        for idx in product(range(8), repeat=4):
+            assert table.get(idx, 0) == form.coefficient_signed(idx)
 
 
 class TestParsePrint:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin7.linalg import (
-    GramMetric,
     Matrix,
     RowSpan,
     Vector,
@@ -96,25 +95,6 @@ class TestVectorMatrix:
             Matrix.from_json_obj([["0.5"]])
         with pytest.raises(ValueError):
             Matrix.from_json_obj([["1"]], shape=(8, 8))
-
-
-class TestGramMetric:
-    def test_default_identity(self):
-        g = GramMetric(dim=8)
-        assert g.is_identity()
-        assert g.inner(Vector.basis(8, 1), Vector.basis(8, 1)) == 1
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            GramMetric(Matrix([[1, 1], [0, 1]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            GramMetric(Matrix([[1, 0], [0, -1]]))
-
-    def test_scaled_inner(self):
-        g = GramMetric(Matrix([[1, 0], [0, 4]]))
-        assert g.inner(Vector([0, 1]), Vector([0, 1])) == 4
 
 
 class TestDet:

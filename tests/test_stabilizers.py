@@ -123,6 +123,11 @@ class TestG2:
 
 
 class TestExtractOmega:
+    def test_trace_gram_is_8_identity(self):
+        js = [j.matrix for j in acs_basis()]
+        gram = Matrix([(a.transpose() @ b).trace() for b in js] for a in js)
+        assert gram == Matrix.identity(7) * 8
+
     def test_zero_input(self):
         ext = extract_omega(Matrix.zero(8, 8))
         assert ext.omega == Matrix.zero(7, 7)
