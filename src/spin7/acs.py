@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .cross import CrossProduct, default_cross
+from .cross import default_cross
 from .forms import pullback, sort_with_sign
-from .linalg import Matrix, RowSpan, Vector, det, rank, subspace_equal
+from .linalg import Matrix, RowSpan, Vector, det, rank
 from .octonion import SignedUnit, default_table
 
 
@@ -59,23 +59,24 @@ class ACS:
         return self.matrix @ v
 
 
-def _j_images(frame: list[Vector], lam: int, cp: CrossProduct) -> list[Vector]:
+def _j_images(frame: list[Vector], lam: int) -> list[Vector]:
     """J_lam applied to each frame vector f_i: f_0 -> f_lam, f_lam -> -f_0,
     and P(f_0, f_lam, f_i) otherwise."""
+    cross3 = default_cross().cross3
     return [
         frame[lam] if i == 0
         else -frame[0] if i == lam
-        else cp.cross3(frame[0], frame[lam], frame[i])
+        else cross3(frame[0], frame[lam], frame[i])
         for i in range(8)
     ]
 
 
-def build_acs(lam: int, cp: CrossProduct | None = None) -> ACS:
+def build_acs(lam: int) -> ACS:
     """The structure J_lam with J_lam v = P(e0, e_lam, v) off span{e0, e_lam}."""
     if not 1 <= lam <= 7:
         raise ValueError("lam must lie in 1..7")
     basis = [Vector.basis(8, i) for i in range(8)]
-    cols = _j_images(basis, lam, cp or default_cross())
+    cols = _j_images(basis, lam)
     return ACS(Matrix.from_columns([c.comps for c in cols]), label=lam)
 
 
@@ -204,13 +205,12 @@ def acs_from_unit(u: Vector) -> ACS:
     return ACS(m, label=u)
 
 
-def rotated_acs_family(r: Matrix, cp: CrossProduct | None = None) -> list[Matrix]:
+def rotated_acs_family(r: Matrix) -> list[Matrix]:
     """J_1..J_7 built from the rotated frame e'_i = R e_i, in standard coordinates."""
-    cp = cp or default_cross()
     frame = [r.column(i) for i in range(8)]
     out = []
     for lam in range(1, 8):
-        sparse = [fc.nonzero() for fc in _j_images(frame, lam, cp)]
+        sparse = [fc.nonzero() for fc in _j_images(frame, lam)]
         # express on the standard basis: e_j = sum_i R[j][i] e'_i for orthogonal R
         cols = []
         for j in range(8):
@@ -243,10 +243,10 @@ def _as_signed_permutation(r: Matrix) -> list[tuple[int, int]] | None:
     return cols
 
 
-def check_frame(r: Matrix, cp: CrossProduct | None = None) -> None:
+def check_frame(r: Matrix) -> None:
     """Raise :class:`FrameNotAdmissible` unless R is orthogonal, preserves the
-    inducing form exactly, and has determinant +1."""
-    cp = cp or default_cross()
+    Cayley form exactly, and has determinant +1."""
+    cp = default_cross()
     if r.nrows != 8 or r.ncols != 8:
         raise FrameNotAdmissible("frame matrix must be 8x8")
     cols = _as_signed_permutation(r)
@@ -276,22 +276,18 @@ def check_frame(r: Matrix, cp: CrossProduct | None = None) -> None:
         raise FrameNotAdmissible("frame matrix does not preserve the form")
 
 
-def span_stability(r: Matrix, cp: CrossProduct | None = None) -> bool:
+def span_stability(r: Matrix) -> bool:
     """Whether the J-span from the rotated frame equals the standard J-span.
 
-    R must be an exact form-preserving orientation-preserving orthogonal
-    matrix (:class:`FrameNotAdmissible` otherwise), e.g. one returned by the
-    stabilizer module's symmetry search.
+    R must be an exact orthogonal matrix with determinant +1 that preserves
+    the Cayley form (:class:`FrameNotAdmissible` otherwise), e.g. one
+    returned by the stabilizer module's symmetry search.
     """
-    cp = cp or default_cross()
-    check_frame(r, cp)
-    rotated = rotated_acs_family(r, cp)
-    if cp is default_cross():
-        if not all(span_contains_matrix(m) for m in rotated):
-            return False
-        # containment plus equal dimension gives span equality; the rotated
-        # family's coefficients on the J basis sit in column 0
-        coeff_rows = [[m.rows[lam][0] for lam in range(1, 8)] for m in rotated]
-        return rank(coeff_rows) == 7
-    standard = [build_acs(lam, cp).matrix.flatten() for lam in range(1, 8)]
-    return subspace_equal([m.flatten() for m in rotated], standard)
+    check_frame(r)
+    rotated = rotated_acs_family(r)
+    if not all(span_contains_matrix(m) for m in rotated):
+        return False
+    # containment plus equal dimension gives span equality; the rotated
+    # family's coefficients on the J basis sit in column 0
+    coeff_rows = [[m.rows[lam][0] for lam in range(1, 8)] for m in rotated]
+    return rank(coeff_rows) == 7

@@ -52,7 +52,7 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 class AltForm:
     """Alternating k-form stored as {increasing index tuple: coefficient}."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_signed")
 
     def __init__(self, degree: int, terms: dict | None = None):
         if degree < 0:
@@ -76,12 +76,14 @@ class AltForm:
             raise ValueError("nonzero form of degree above the space dimension")
         self.degree = degree
         self.terms = clean
+        self._signed = None
 
     @classmethod
     def _raw(cls, degree: int, terms: dict) -> "AltForm":
         form = object.__new__(cls)
         form.degree = degree
         form.terms = terms
+        form._signed = None
         return form
 
     @classmethod
@@ -101,13 +103,7 @@ class AltForm:
         return self.terms.get(tuple(key), F0)
 
     def coefficient_signed(self, indices: Sequence[int]) -> Fraction:
-        key, sign = sort_with_sign(indices)
-        if sign == 0:
-            return F0
-        c = self.terms.get(key)
-        if c is None:
-            return F0
-        return c if sign > 0 else -c
+        return signed_coefficients(self).get(tuple(indices), F0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -179,10 +175,10 @@ class AltForm:
             if size > 128:
                 break
         if size <= 128:
+            tab = signed_coefficients(self)
             total = F0
-            for combo in _index_products(supports):
-                indices, weight = combo
-                c = self.coefficient_signed(indices)
+            for indices, weight in _index_products(supports):
+                c = tab.get(indices)
                 if c:
                     total += weight * c
             return total
@@ -254,19 +250,22 @@ def _permutation_signs(k: int) -> tuple[int, ...]:
 
 
 def signed_coefficients(f: AltForm) -> dict[tuple[int, ...], Fraction]:
-    """Expand the terms into {ordered index tuple: signed coefficient}.
+    """The terms expanded into {ordered index tuple: signed coefficient}.
 
     Every ordering of every term's indices gets the term coefficient times
     the sign of the reordering; tuples with a repeated index or outside the
-    terms are absent, so ``.get(indices, 0)`` agrees with
-    :meth:`AltForm.coefficient_signed`.
+    terms are absent. The table is built once per form, kept in its
+    ``_signed`` slot (forms are never mutated) and shared by every caller,
+    who must not mutate it.
     """
-    signs = _permutation_signs(f.degree)
-    table = {}
-    for key, c in f.terms.items():
-        for image, sign in zip(permutations(key), signs):
-            table[image] = c if sign > 0 else -c
-    return table
+    if f._signed is None:
+        signs = _permutation_signs(f.degree)
+        table = {}
+        for key, c in f.terms.items():
+            for image, sign in zip(permutations(key), signs):
+                table[image] = c if sign > 0 else -c
+        f._signed = table
+    return f._signed
 
 
 def pullback(f: AltForm, m: Matrix) -> AltForm:
@@ -313,6 +312,9 @@ class FormParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.reason = message
         self.position = position
+
+
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts '²' and '٣'
 
 
 class _Parser:
@@ -369,7 +371,7 @@ class _Parser:
         ch = self.peek()
         if ch == "e":
             return self.parse_basis(), F1
-        if not ch.isdigit():
+        if ch not in _DIGITS:
             raise self.error(f"expected a coefficient or basis term, found {ch!r}")
         coeff = self.parse_rational()
         self.skip_ws()
@@ -386,14 +388,14 @@ class _Parser:
 
     def parse_rational(self) -> Fraction:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         num = int(self.text[start:self.pos])
         if self.peek() != "/":
             return Fraction(num)
         self.pos += 1
         den_start = self.pos
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         if den_start == self.pos:
             raise self.error("malformed rational: missing denominator", den_start)
@@ -415,7 +417,7 @@ class _Parser:
         seen: set[int] = set()
         while True:
             ch = self.peek()
-            if ch.isdigit():
+            if ch in _DIGITS:
                 i = int(ch)
                 if i >= DIM:
                     raise self.error(f"index {i} out of range 0..{DIM - 1}")

@@ -23,7 +23,7 @@ Scalarish = Union[int, Fraction]
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -59,7 +59,8 @@ def _exact(c: Scalarish) -> Scalarish:
 
 
 class Vector:
-    """Immutable vector of exact rationals."""
+    """Immutable vector of exact rationals; sums, differences, negation and
+    scalar multiples keep the class of ``self`` (an ``Octonion`` stays one)."""
 
     __slots__ = ("comps",)
 
@@ -90,17 +91,17 @@ class Vector:
         return hash(self.comps)
 
     def __add__(self, other: "Vector") -> "Vector":
-        return Vector(a + b for a, b in zip(self.comps, other.comps, strict=True))
+        return type(self)(a + b for a, b in zip(self.comps, other.comps, strict=True))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return Vector(a - b for a, b in zip(self.comps, other.comps, strict=True))
+        return type(self)(a - b for a, b in zip(self.comps, other.comps, strict=True))
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.comps)
+        return type(self)(-a for a in self.comps)
 
     def __mul__(self, scalar: Scalarish) -> "Vector":
         if isinstance(scalar, (int, Fraction)):
-            return Vector(a * scalar for a in self.comps)
+            return type(self)(a * scalar for a in self.comps)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -13,7 +13,7 @@ from functools import cache
 from typing import Iterable, NamedTuple
 
 from .forms import AltForm, cayley_form
-from .linalg import Vector, _exact
+from .linalg import Vector
 
 
 class SignedUnit(NamedTuple):
@@ -150,62 +150,32 @@ def default_table() -> UnitTable:
     return UnitTable.from_form(cayley_form())
 
 
-class Octonion:
-    """Octonion with exact rational components; component 0 is the real part."""
+class Octonion(Vector):
+    """Octonion with exact rational components; component 0 is the real part.
 
-    __slots__ = ("comps",)
+    An octonion is a length-8 :class:`Vector`: it shares the vector sum,
+    negation, scalar multiples and equality, and adds the octonion product.
+    """
+
+    __slots__ = ()
 
     def __init__(self, comps: Iterable):
-        comps = tuple(_exact(c) for c in comps)
-        if len(comps) != 8:
+        super().__init__(comps)
+        if len(self.comps) != 8:
             raise ValueError("an octonion has 8 components")
-        self.comps = comps
 
     @classmethod
     def unit(cls, i: int) -> "Octonion":
-        return cls(1 if k == i else 0 for k in range(8))
-
-    @classmethod
-    def zero(cls) -> "Octonion":
-        return cls([0] * 8)
-
-    @classmethod
-    def from_vector(cls, v: Vector) -> "Octonion":
-        return cls(v.comps)
-
-    def as_vector(self) -> Vector:
-        return Vector(self.comps)
+        return cls.basis(8, i)
 
     @property
     def real(self) -> Fraction:
         return self.comps[0]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Octonion) and self.comps == other.comps
-
-    def __hash__(self) -> int:
-        return hash(self.comps)
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(a + b for a, b in zip(self.comps, other.comps))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(a - b for a, b in zip(self.comps, other.comps))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(-a for a in self.comps)
-
     def __mul__(self, other):
         if isinstance(other, Octonion):
             return oct_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return Octonion(a * other for a in self.comps)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Octonion(a * other for a in self.comps)
-        return NotImplemented
+        return super().__mul__(other)
 
     def conjugate(self) -> "Octonion":
         return Octonion((self.comps[0],) + tuple(-a for a in self.comps[1:]))
@@ -213,16 +183,15 @@ class Octonion:
     def norm_sq(self) -> Fraction:
         return sum(a * a for a in self.comps)
 
-    def is_zero(self) -> bool:
-        return not any(self.comps)
-
     def __repr__(self) -> str:
         return f"Octonion([{', '.join(str(c) for c in self.comps)}])"
 
+    __str__ = __repr__
 
-def oct_mul(x: Octonion, y: Octonion, table: UnitTable | None = None) -> Octonion:
+
+def oct_mul(x: Octonion, y: Octonion) -> Octonion:
     """Bilinear product extending the unit table, with e_0 the two-sided unit."""
-    table = table or default_table()
+    table = default_table()
     out = [0] * 8
     for i, a in enumerate(x.comps):
         if not a:
@@ -235,7 +204,6 @@ def oct_mul(x: Octonion, y: Octonion, table: UnitTable | None = None) -> Octonio
     return Octonion(out)
 
 
-def associator(x: Octonion, y: Octonion, z: Octonion, table: UnitTable | None = None) -> Octonion:
+def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
     """(xy)z - x(yz); identically zero on any pair of equal arguments."""
-    table = table or default_table()
-    return oct_mul(oct_mul(x, y, table), z, table) - oct_mul(x, oct_mul(y, z, table), table)
+    return oct_mul(oct_mul(x, y), z) - oct_mul(x, oct_mul(y, z))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 
-from .acs import acs_basis
+from .acs import acs_basis, acs_span_dim, span_contains_matrix
 from .cross import default_cross
 from .forms import AltForm, cayley_form, signed_coefficients, sort_with_sign
 from .linalg import (
@@ -120,35 +120,32 @@ class LieSubalgebra:
         }
 
 
+def _annihilator(f: AltForm, pairs: tuple[tuple[int, int], ...]) -> tuple[Matrix, ...]:
+    """Basis of the antisymmetric matrices on indices lo..7 that annihilate f.
+
+    ``pairs`` lists every (i, j) with lo <= i < j <= 7 in order, so lo is
+    ``pairs[0][0]``; the basis matrices are (8 - lo) x (8 - lo).
+    """
+    lo = pairs[0][0]
+    acted = [form_action(antisym_unit(8, i, j), f) for i, j in pairs]
+    rows = [[a.coefficient(t) for a in acted] for t in combinations(range(lo, 8), f.degree)]
+    shifted = [(i - lo, j - lo) for i, j in pairs]
+    return tuple(
+        _coords_to_matrix(v, shifted, 8 - lo) for v in kernel_basis(rows, len(pairs))
+    )
+
+
 @cache
 def spin7() -> LieSubalgebra:
     """Exact kernel of the antisymmetric action on the Cayley form (dim 21)."""
-    phi = cayley_form()
-    tuples4 = list(combinations(range(8), 4))
-    columns = []
-    for i, j in SO8_PAIRS:
-        acted = form_action(antisym_unit(8, i, j), phi)
-        columns.append([acted.coefficient(t) for t in tuples4])
-    rows = [[columns[p][t] for p in range(len(SO8_PAIRS))] for t in range(len(tuples4))]
-    coords = kernel_basis(rows, len(SO8_PAIRS))
-    basis = tuple(_coords_to_matrix(v, SO8_PAIRS, 8) for v in coords)
-    return LieSubalgebra("spin7", 8, basis)
+    return LieSubalgebra("spin7", 8, _annihilator(cayley_form(), SO8_PAIRS))
 
 
 @cache
 def g2_stabilizer() -> LieSubalgebra:
     """Exact kernel of the so(7) action on the induced 3-form (dim 14)."""
     psi = default_cross().associative_form()
-    tuples3 = list(combinations(range(1, 8), 3))
-    columns = []
-    for i, j in SO7_PAIRS:
-        acted = form_action(antisym_unit(8, i, j), psi)
-        columns.append([acted.coefficient(t) for t in tuples3])
-    rows = [[columns[p][t] for p in range(len(SO7_PAIRS))] for t in range(len(tuples3))]
-    coords = kernel_basis(rows, len(SO7_PAIRS))
-    pairs = [(i - 1, j - 1) for i, j in SO7_PAIRS]
-    basis = tuple(_coords_to_matrix(v, pairs, 7) for v in coords)
-    return LieSubalgebra("g2", 7, basis)
+    return LieSubalgebra("g2", 7, _annihilator(psi, SO7_PAIRS))
 
 
 def embed_so7(m: Matrix) -> Matrix:
@@ -313,17 +310,13 @@ def decompose_so8() -> DecompositionVerdict:
     """Verify dimensions, trivial intersection, and [spin7, span{J}] in span{J}."""
     sp = spin7()
     js = [j.matrix for j in acs_basis()]
-    spin_rows = [b.flatten() for b in sp.basis]
-    j_rows = [j.flatten() for j in js]
-    sum_dim = rank(spin_rows + j_rows)
-    intersection = sp.dim + len(js) - sum_dim
-    j_span = RowSpan(j_rows)
-    closed = all(
-        j_span.contains(b.commutator(j).flatten()) for b in sp.basis for j in js
-    )
+    span_dim = acs_span_dim()
+    sum_dim = rank([b.flatten() for b in sp.basis] + [j.flatten() for j in js])
+    intersection = sp.dim + span_dim - sum_dim
+    closed = all(span_contains_matrix(b.commutator(j)) for b in sp.basis for j in js)
     return DecompositionVerdict(
         spin7_dim=sp.dim,
-        span_dim=rank(j_rows),
+        span_dim=span_dim,
         sum_dim=sum_dim,
         intersection_dim=intersection,
         bracket_closed=closed,

@@ -166,7 +166,7 @@ def suite_axioms() -> VerdictReport:
 def suite_lemma() -> VerdictReport:
     """The composition rule over all 32768 ordered basis 5-tuples."""
     report = VerdictReport("lemma")
-    sweep = verify_composition_lemma(scope="all-basis")
+    sweep = verify_composition_lemma()
     report.cases = sweep.cases
     report.failures = [
         {"inputs": f["inputs"], "expected": f["rhs"], "actual": f["lhs"]}

@@ -70,6 +70,12 @@ class TestCross:
                                       "-w", "0," * 7 + "0"])
         assert result.exit_code == 2
 
+    def test_non_ascii_digit_vector(self, runner):
+        result = runner.invoke(main, ["cross", "-u", "٣" + ",0" * 7, "-v", "0," * 7 + "0",
+                                      "-w", "0," * 7 + "0"])
+        assert result.exit_code == 2
+        assert "malformed rational" in result.output
+
     def test_cross2(self, runner):
         result = runner.invoke(
             main, ["cross2", "-u", "0,1,0,0,0,0,0,0", "-v", "0,0,1,0,0,0,0,0"]
@@ -101,6 +107,14 @@ class TestParse:
         result = runner.invoke(main, ["parse", expr])
         assert result.exit_code == 2
         assert fragment in result.output
+        assert "position" in result.output
+
+    @pytest.mark.parametrize("expr", ["e²", "²*e1", "1/²*e1", "e^{0²}", "٣*e1"])
+    def test_non_ascii_digits_exit_2(self, runner, expr):
+        # str.isdigit accepts these; int() then crashes or reads them as 2/3
+        result = runner.invoke(main, ["parse", expr])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
         assert "position" in result.output
 
 

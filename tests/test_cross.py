@@ -1,17 +1,20 @@
 """Triple cross product: axioms, induced rank-2 product, composition rule."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import spin7.cross
 from spin7.cross import (
+    CrossProduct,
     InputNotInE0Perp,
     default_cross,
     verify_compatibility,
     verify_composition_lemma,
 )
-from spin7.forms import sort_with_sign
+from spin7.forms import AltForm, cayley_form, sort_with_sign
 from spin7.linalg import Vector, gram_det
 from spin7.octonion import default_table
 
@@ -142,13 +145,42 @@ class TestCompositionRule:
             assert list(got_rhs) == rhs
 
     def test_sample_scope(self):
-        report = verify_composition_lemma(scope="sample", sample_size=40)
-        assert report.cases == 40
-        assert report.failures == []
+        # dense rational 5-tuples, where the basis sweep's shortcuts do not apply
+        cp = default_cross()
+        rng = random.Random(8)
+        for _ in range(40):
+            a, b, u, v, w = (
+                Vector(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8))
+                for _ in range(5)
+            )
+            lhs, rhs = cp.composition_sides(a, b, u, v, w)
+            assert lhs == rhs
 
-    def test_bad_scope(self):
-        with pytest.raises(ValueError):
-            verify_composition_lemma(scope="everything")
+
+class TestNegativeControls:
+    """Both sweeps fail on the Cayley form with the sign of e^{0123} flipped."""
+
+    @pytest.fixture()
+    def flipped(self, monkeypatch):
+        terms = dict(cayley_form().terms)
+        terms[(0, 1, 2, 3)] = -1
+        cp = CrossProduct(AltForm(4, terms))
+        monkeypatch.setattr(spin7.cross, "default_cross", lambda: cp)
+
+    def test_compatibility_fails_on_dense_triples(self, flipped):
+        report = verify_compatibility()
+        assert report.cases == 8 ** 3 + 100
+        assert len(report.failures) == 100
+        basis = {str(e) for e in E}
+        for f in report.failures:
+            assert not set(f["inputs"][1:-1].split("; ")) <= basis
+            assert "Fraction" not in f["lhs"]
+
+    def test_composition_lemma_fails(self, flipped):
+        report = verify_composition_lemma()
+        assert report.cases == 32768
+        assert len(report.failures) == 2592
+        assert report.failures[0]["inputs"] == "(e0; e1; e0; e4; e6)"
 
 
 class TestCross2:

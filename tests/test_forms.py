@@ -199,10 +199,16 @@ class TestSignedCoefficients:
         "form", [cayley_form(), AltForm(4, {(0, 1, 2, 3): 1})], ids=["phi", "lone"]
     )
     def test_matches_coefficient_signed(self, form):
+        # coefficient_signed reads the table, so both are checked against
+        # the sorted terms directly
         table = signed_coefficients(form)
         assert len(table) == 24 * len(form.terms)
+        assert signed_coefficients(form) is table
         for idx in product(range(8), repeat=4):
-            assert table.get(idx, 0) == form.coefficient_signed(idx)
+            key, sign = sort_with_sign(idx)
+            expected = sign * form.terms.get(key, 0)
+            assert table.get(idx, 0) == expected
+            assert form.coefficient_signed(idx) == expected
 
 
 class TestParsePrint:

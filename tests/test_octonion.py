@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin7.forms import AltForm, cayley_form
+from spin7.linalg import Vector
 from spin7.octonion import (
     NotSingleBasisVector,
     Octonion,
@@ -118,6 +119,16 @@ class TestOctonionProduct:
     def test_conjugate_product(self):
         x = Octonion([1, 2, 0, -1, Fraction(1, 2), 0, 3, 1])
         assert x * x.conjugate() == Octonion([x.norm_sq()] + [0] * 7)
+
+    def test_vector_arithmetic_stays_octonion(self):
+        x = Octonion([1, 2, 0, -1, Fraction(1, 2), 0, 3, 1])
+        for value in (x + UNITS[2], x - UNITS[2], -x, x * 3, 3 * x,
+                      x * Fraction(1, 2), Fraction(1, 2) * x):
+            assert type(value) is Octonion
+        assert repr(x) == str(x) == "Octonion([1, 2, 0, -1, 1/2, 0, 3, 1])"
+        assert x == Vector(x.comps) and hash(x) == hash(Vector(x.comps))
+        with pytest.raises(ValueError):
+            Octonion([1, 2, 3])
 
     def test_two_sided_distributivity(self):
         x, y, z = UNITS[1] + UNITS[2], UNITS[3], UNITS[5] - UNITS[0]
