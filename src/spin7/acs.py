@@ -243,9 +243,13 @@ def _as_signed_permutation(r: Matrix) -> list[tuple[int, int]] | None:
     return cols
 
 
-def check_frame(r: Matrix) -> None:
+def check_frame(r: Matrix) -> list[tuple[int, int]] | None:
     """Raise :class:`FrameNotAdmissible` unless R is orthogonal, preserves the
-    Cayley form exactly, and has determinant +1."""
+    Cayley form exactly, and has determinant +1.
+
+    Returns R's per-column (row, sign) pairs when R is a signed permutation
+    matrix, and None when it is dense.
+    """
     cp = default_cross()
     if r.nrows != 8 or r.ncols != 8:
         raise FrameNotAdmissible("frame matrix must be 8x8")
@@ -267,13 +271,70 @@ def check_frame(r: Matrix) -> None:
                 eps *= cols[t][1]
             if eps * tab.get(tuple(sigma[t] for t in key), 0) != c:
                 raise FrameNotAdmissible("frame matrix does not preserve the form")
-        return
+        return cols
     if r.transpose() @ r != Matrix.identity(8):
         raise FrameNotAdmissible("frame matrix is not orthogonal")
     if det(r) != 1:
         raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
     if pullback(cp.phi, r) != cp.phi:
         raise FrameNotAdmissible("frame matrix does not preserve the form")
+    return None
+
+
+@cache
+def _unit_triples() -> dict[tuple[int, int, int], tuple[int, int]]:
+    """Map (a, b, c) -> (m, s) with P(e_a, e_b, e_c) = s e_m, for distinct a, b, c.
+
+    Every 3-subset of indices lies in exactly one of the 14 term index sets
+    and every coefficient is +/-1, so each such product is a single signed
+    unit; both facts are asserted here.
+    """
+    out: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for key, c in default_cross().phi_signed.items():
+        assert c * c == 1 and key[:3] not in out
+        out[key[:3]] = (key[3], 1 if c > 0 else -1)
+    assert len(out) == 8 * 7 * 6
+    return out
+
+
+def _span_stable_lookup(cols: list[tuple[int, int]]) -> bool:
+    """Span stability for the signed permutation frame f_i = eps_i e_sigma(i),
+    given as the per-column pairs (sigma(i), eps_i)."""
+    support = _span_support()
+    units = _unit_triples()
+    a, eps0 = cols[0]
+    mus = set()
+    for lam in range(1, 8):
+        b, w = cols[lam]
+        w *= eps0
+        # (row, sign) of column sigma(i) of J'_lam, which is eps_i J'_lam f_i;
+        # every column carries the factor w = eps_0 eps_lam
+        image: list[tuple[int, int]] = [(0, 0)] * 8
+        image[a] = (b, w)
+        image[b] = (a, -w)
+        for i in range(1, 8):
+            if i != lam:
+                c = cols[i][0]
+                m, s = units[(a, b, c)]
+                image[c] = (m, w * s)
+        # J'_lam = t J_mu with (mu, t) read off column 0, since J_mu e_0 = e_mu
+        mu, t = image[0]
+        for col, (row, sign) in enumerate(image):
+            if support.get((row, col)) != (mu, sign * t):
+                return False
+        mus.add(mu)
+    return len(mus) == 7
+
+
+def _span_stable_dense(r: Matrix) -> bool:
+    """Span stability for any admissible frame, from the rotated family."""
+    rotated = rotated_acs_family(r)
+    if not all(span_contains_matrix(m) for m in rotated):
+        return False
+    # containment plus equal dimension gives span equality; the rotated
+    # family's coefficients on the J basis sit in column 0
+    coeff_rows = [[m.rows[lam][0] for lam in range(1, 8)] for m in rotated]
+    return rank(coeff_rows) == 7
 
 
 def span_stability(r: Matrix) -> bool:
@@ -282,12 +343,19 @@ def span_stability(r: Matrix) -> bool:
     R must be an exact orthogonal matrix with determinant +1 that preserves
     the Cayley form (:class:`FrameNotAdmissible` otherwise), e.g. one
     returned by the stabilizer module's symmetry search.
+
+    A dense R takes the dense route: build the rotated family J'_1..J'_7
+    as matrices, test each for membership in span{J} and require rank 7.
+    A signed permutation R, f_i = eps_i e_sigma(i), takes the label route.
+    Each J'_lam is then a signed permutation matrix built from 8 integer
+    lookups: f_0 -> f_lam, f_lam -> -f_0, and f_i -> P(f_0, f_lam, f_i), a
+    signed unit of the Cayley form's table. The J's are signed permutation
+    matrices with disjoint supports that cover the off-diagonal, so such a
+    matrix lies in span{J} exactly when it equals +/-J_mu, with mu read off
+    column 0, and the seven coefficient rows +/-e_mu have rank 7 exactly
+    when the seven mu are distinct. Both routes decide the same fact exactly.
     """
-    check_frame(r)
-    rotated = rotated_acs_family(r)
-    if not all(span_contains_matrix(m) for m in rotated):
-        return False
-    # containment plus equal dimension gives span equality; the rotated
-    # family's coefficients on the J basis sit in column 0
-    coeff_rows = [[m.rows[lam][0] for lam in range(1, 8)] for m in rotated]
-    return rank(coeff_rows) == 7
+    cols = check_frame(r)
+    if cols is None:
+        return _span_stable_dense(r)
+    return _span_stable_lookup(cols)

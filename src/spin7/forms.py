@@ -221,10 +221,11 @@ class AltForm:
         from .linalg import parse_rational
 
         degree = obj["degree"]
-        terms = {
-            tuple(int(ch) for ch in key): parse_rational(value)
-            for key, value in obj["terms"].items()
-        }
+        terms = {}
+        for key, value in obj["terms"].items():
+            if not all(ch in _DIGITS for ch in key):
+                raise ValueError(f"term key {key!r} is not a string of ASCII digits")
+            terms[tuple(int(ch) for ch in key)] = parse_rational(value)
         return cls(degree, terms)
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, permutations
 
 from .acs import acs_basis, acs_span_dim, span_contains_matrix
@@ -98,16 +98,17 @@ class LieSubalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def span(self) -> RowSpan:
+    @cached_property
+    def _span(self) -> RowSpan:
+        # built once per instance; private because RowSpan.add mutates it
         return RowSpan(b.flatten() for b in self.basis)
 
     def contains(self, m: Matrix) -> bool:
-        return self.span().contains(m.flatten())
+        return self._span.contains(m.flatten())
 
     def closed_under_bracket(self) -> bool:
-        span = self.span()
         return all(
-            span.contains(a.commutator(b).flatten())
+            self._span.contains(a.commutator(b).flatten())
             for a, b in combinations(self.basis, 2)
         )
 

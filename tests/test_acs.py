@@ -1,10 +1,16 @@
 """The seven almost complex structures and their span."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from spin7 import acs
 from spin7.acs import (
     ACS,
     ACSCertificationError,
@@ -24,8 +30,9 @@ from spin7.acs import (
 )
 from spin7.cross import default_cross
 from spin7.forms import cayley_form, pullback
-from spin7.linalg import Matrix, Vector, rank
+from spin7.linalg import Matrix, Vector, det, rank
 from spin7.octonion import SignedUnit, default_table
+from spin7.stabilizers import signed_perm_symmetries, spin7
 
 E = [Vector.basis(8, i) for i in range(8)]
 I8 = Matrix.identity(8)
@@ -176,23 +183,18 @@ class TestSpanStability:
         assert span_stability(-I8)
 
     def test_nontrivial_symmetry(self):
-        from spin7.stabilizers import signed_perm_symmetries
-
         for r in signed_perm_symmetries(limit=25):
             assert span_stability(r)
 
     def test_rotated_span_equals_standard_span(self):
         from spin7.linalg import subspace_equal
-        from spin7.stabilizers import signed_perm_symmetries
 
-        r = signed_perm_symmetries(limit=20)[19]
+        r =signed_perm_symmetries(limit=20)[19]
         rotated = [m.flatten() for m in rotated_acs_family(r)]
         standard = [j.matrix.flatten() for j in acs_basis()]
         assert subspace_equal(rotated, standard)
 
     def test_rotated_family_certifies(self):
-        from spin7.stabilizers import signed_perm_symmetries
-
         r = signed_perm_symmetries(limit=10)[7]
         for m in rotated_acs_family(r):
             assert m @ m == -I8
@@ -229,6 +231,60 @@ class TestSpanStability:
             span_stability(Matrix(rows))
 
 
+class TestSpanStabilityRoutes:
+    """The label route taken by signed permutation frames and the dense
+    route taken by every other frame give the same verdicts."""
+
+    def test_lookup_agrees_with_dense_route(self):
+        syms = signed_perm_symmetries()[::64]
+        assert len(syms) == 336
+        for r in syms:
+            cols = check_frame(r)
+            assert cols is not None
+            assert acs._span_stable_lookup(cols) is acs._span_stable_dense(r) is True
+
+    def test_cayley_transform_frame_takes_dense_route(self):
+        a = spin7().basis[0] * Fraction(1, 2)
+        r = (I8 - a) @ (I8 + a).inverse()
+        assert r.transpose() @ r == I8
+        assert det(r) == 1
+        assert pullback(cayley_form(), r) == cayley_form()
+        assert sum(1 for row in r.rows for x in row if x) > 8
+        assert check_frame(r) is None
+        assert span_stability(r) is True
+
+    def test_flipped_form_fails_on_both_routes(self):
+        # the sign of e^{0123} flipped before first use, in a fresh process
+        script = """
+import json
+import spin7.forms as forms
+forms._CAYLEY_TERMS[(0, 1, 2, 3)] = -1
+from spin7 import acs
+from spin7.stabilizers import signed_perm_symmetries
+from spin7.verify import suite_claim3
+report = suite_claim3()
+syms = signed_perm_symmetries()
+print(json.dumps({
+    "verdict": report.verdict,
+    "failed": [f["inputs"] for f in report.failures],
+    "lookup": [acs._span_stable_lookup(acs.check_frame(r)) for r in syms],
+    "dense": [acs._span_stable_dense(r) for r in syms],
+}))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        assert out["verdict"] == "fail"
+        assert len(out["lookup"]) == 1536
+        assert out["lookup"].count(False) == 1152
+        assert out["lookup"] == out["dense"]
+        rejected = [f"symmetry {k}" for k, ok in enumerate(out["lookup"]) if not ok]
+        assert [f for f in out["failed"] if f.startswith("symmetry ")] == rejected
+
+
 class TestCheckFrameSignedPermutations:
     @staticmethod
     def admitted(r):
@@ -239,8 +295,6 @@ class TestCheckFrameSignedPermutations:
         return True
 
     def test_agrees_with_pullback(self):
-        from spin7.stabilizers import signed_perm_symmetries
-
         phi = cayley_form()
         syms = signed_perm_symmetries(limit=50)
         for r in syms:

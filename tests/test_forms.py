@@ -271,3 +271,8 @@ class TestParsePrint:
     def test_json_roundtrip(self):
         phi = cayley_form()
         assert AltForm.from_json_obj(phi.to_json_obj()) == phi
+
+    @pytest.mark.parametrize("key", ["\u0663", "0\u00b2", "1a", "1 2"])
+    def test_json_rejects_non_ascii_digit_keys(self, key):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            AltForm.from_json_obj({"degree": len(key), "terms": {key: "1"}})
