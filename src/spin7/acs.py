@@ -11,12 +11,13 @@ rotation preserving the form.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
 from .cross import default_cross
 from .forms import pullback, sort_with_sign
-from .linalg import Matrix, RowSpan, Vector, det, rank
+from .linalg import Matrix, RowSpan, SignedPermutation, Vector, det, rank
 from .octonion import SignedUnit, default_table
 
 
@@ -224,8 +225,14 @@ def rotated_acs_family(r: Matrix) -> list[Matrix]:
     return out
 
 
-def _as_signed_permutation(r: Matrix) -> list[tuple[int, int]] | None:
-    """Per-column (row, sign) when r is a signed permutation matrix, else None."""
+def _as_signed_permutation(r: Matrix) -> Sequence[tuple[int, int]] | None:
+    """Per-column (row, sign) when r is a signed permutation matrix, else None.
+
+    A :class:`SignedPermutation` already carries these labels; any other
+    matrix is decoded from its entries.
+    """
+    if isinstance(r, SignedPermutation):
+        return r.cols
     cols: list[tuple[int, int]] = []
     seen = 0
     for j in range(8):
@@ -243,7 +250,7 @@ def _as_signed_permutation(r: Matrix) -> list[tuple[int, int]] | None:
     return cols
 
 
-def check_frame(r: Matrix) -> list[tuple[int, int]] | None:
+def check_frame(r: Matrix) -> Sequence[tuple[int, int]] | None:
     """Raise :class:`FrameNotAdmissible` unless R is orthogonal, preserves the
     Cayley form exactly, and has determinant +1.
 
@@ -265,11 +272,9 @@ def check_frame(r: Matrix) -> list[tuple[int, int]] | None:
         if detr != 1:
             raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
         tab = cp.phi_signed
-        for key, c in cp.phi.terms.items():
-            eps = 1
-            for t in key:
-                eps *= cols[t][1]
-            if eps * tab.get(tuple(sigma[t] for t in key), 0) != c:
+        for (a, b, c, d), coeff in cp.phi.terms.items():
+            (sa, ea), (sb, eb), (sc, ec), (sd, ed) = cols[a], cols[b], cols[c], cols[d]
+            if ea * eb * ec * ed * tab.get((sa, sb, sc, sd), 0) != coeff:
                 raise FrameNotAdmissible("frame matrix does not preserve the form")
         return cols
     if r.transpose() @ r != Matrix.identity(8):
@@ -297,27 +302,26 @@ def _unit_triples() -> dict[tuple[int, int, int], tuple[int, int]]:
     return out
 
 
-def _span_stable_lookup(cols: list[tuple[int, int]]) -> bool:
-    """Span stability for the signed permutation frame f_i = eps_i e_sigma(i),
-    given as the per-column pairs (sigma(i), eps_i)."""
+@cache
+def _span_stable_sigma(sigma: tuple[int, ...]) -> bool:
+    """Span stability for every signed permutation frame f_i = eps_i e_sigma(i)
+    with the permutation sigma; the signs eps_i cannot change the verdict."""
     support = _span_support()
     units = _unit_triples()
-    a, eps0 = cols[0]
+    a = sigma[0]
     mus = set()
     for lam in range(1, 8):
-        b, w = cols[lam]
-        w *= eps0
-        # (row, sign) of column sigma(i) of J'_lam, which is eps_i J'_lam f_i;
-        # every column carries the factor w = eps_0 eps_lam
+        b = sigma[lam]
+        # (row, sign) of column sigma(i) of K_lam, the J'_lam of the
+        # frame f_i = e_sigma(i)
         image: list[tuple[int, int]] = [(0, 0)] * 8
-        image[a] = (b, w)
-        image[b] = (a, -w)
+        image[a] = (b, 1)
+        image[b] = (a, -1)
         for i in range(1, 8):
             if i != lam:
-                c = cols[i][0]
-                m, s = units[(a, b, c)]
-                image[c] = (m, w * s)
-        # J'_lam = t J_mu with (mu, t) read off column 0, since J_mu e_0 = e_mu
+                c = sigma[i]
+                image[c] = units[(a, b, c)]
+        # K_lam = t J_mu with (mu, t) read off column 0, since J_mu e_0 = e_mu
         mu, t = image[0]
         for col, (row, sign) in enumerate(image):
             if support.get((row, col)) != (mu, sign * t):
@@ -347,15 +351,23 @@ def span_stability(r: Matrix) -> bool:
     A dense R takes the dense route: build the rotated family J'_1..J'_7
     as matrices, test each for membership in span{J} and require rank 7.
     A signed permutation R, f_i = eps_i e_sigma(i), takes the label route.
-    Each J'_lam is then a signed permutation matrix built from 8 integer
-    lookups: f_0 -> f_lam, f_lam -> -f_0, and f_i -> P(f_0, f_lam, f_i), a
-    signed unit of the Cayley form's table. The J's are signed permutation
-    matrices with disjoint supports that cover the off-diagonal, so such a
-    matrix lies in span{J} exactly when it equals +/-J_mu, with mu read off
-    column 0, and the seven coefficient rows +/-e_mu have rank 7 exactly
-    when the seven mu are distinct. Both routes decide the same fact exactly.
+    P is trilinear, so J'_lam e_sigma(i) = eps_i P(f_0, f_lam, f_i) =
+    eps_0 eps_lam P(e_sigma(0), e_sigma(lam), e_sigma(i)), and the pair
+    f_0 -> f_lam, f_lam -> -f_0 carries the same factor: J'_lam =
+    eps_0 eps_lam K_lam(sigma), where K_lam(sigma) is the J'_lam of the
+    unsigned frame e_sigma(i). A +/-1 scale on each generator cannot change
+    a span, so the verdict depends on sigma alone and is looked up once per
+    permutation (1344 times for the 21504 symmetries). Each K_lam is a
+    signed permutation matrix built from 8 integer lookups: e_sigma(0) ->
+    e_sigma(lam), e_sigma(lam) -> -e_sigma(0), and the rest a signed unit
+    of the Cayley form's table. The J's are signed permutation matrices with
+    disjoint supports that cover the off-diagonal, so such a matrix lies in
+    span{J} exactly when it equals +/-J_mu, with mu read off column 0, and
+    the seven coefficient rows +/-e_mu have rank 7 exactly when the seven
+    mu are distinct. Both routes decide the same fact exactly, and
+    check_frame runs in full on every frame first.
     """
     cols = check_frame(r)
     if cols is None:
         return _span_stable_dense(r)
-    return _span_stable_lookup(cols)
+    return _span_stable_sigma(tuple(row for row, _ in cols))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from time import perf_counter
 
 import click
 
@@ -23,7 +24,7 @@ from .stabilizers import (
     signed_perm_symmetries,
     spin7,
 )
-from .verify import SUITE_NAMES, reports_to_json, run_all, run_suite
+from .verify import SUITE_NAMES, reports_to_json, run_suite
 
 
 def _dump(obj) -> str:
@@ -129,9 +130,17 @@ def cmd_parse(expr: str, fmt: str) -> None:
     show_default=True,
 )
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="json")
-def cmd_verify(suite: str, fmt: str) -> None:
+@click.option("--timings", is_flag=True,
+              help="print each suite's wall time and case count on stderr")
+def cmd_verify(suite: str, fmt: str, timings: bool) -> None:
     """Run a verification suite; exit 0 only if every check passes."""
-    reports = run_all() if suite == "all" else [run_suite(suite)]
+    reports = []
+    for name in SUITE_NAMES if suite == "all" else (suite,):
+        start = perf_counter()
+        reports.append(run_suite(name))
+        if timings:
+            click.echo(f"{name}: {perf_counter() - start:.3f} s, "
+                       f"{reports[-1].cases} cases", err=True)
     if fmt == "json":
         click.echo(reports_to_json(reports))
     else:
@@ -230,11 +239,9 @@ def cmd_symmetries(limit: int | None, fmt: str, count_only: bool) -> None:
         return
     click.echo(f"count: {len(mats)}")
     for m in mats:
-        word = []
-        for i in range(8):
-            col = next((r, m[r][i]) for r in range(8) if m[r][i])
-            word.append(f"{i}->{'+' if col[1] > 0 else '-'}{col[0]}")
-        click.echo(" ".join(word))
+        click.echo(" ".join(
+            f"{i}->{'+' if sign > 0 else '-'}{row}" for i, (row, sign) in enumerate(m.cols)
+        ))
 
 
 if __name__ == "__main__":

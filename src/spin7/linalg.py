@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -286,6 +287,39 @@ class Matrix:
         if shape is not None and (m.nrows, m.ncols) != shape:
             raise ValueError(f"expected a {shape[0]}x{shape[1]} matrix, got {m.nrows}x{m.ncols}")
         return m
+
+
+@cache
+def _unit_rows(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The 2n rows of length n with a single +/-1, keyed by (column, sign)."""
+    return {
+        (j, s): tuple(s if k == j else 0 for k in range(n))
+        for j in range(n)
+        for s in (1, -1)
+    }
+
+
+class SignedPermutation(Matrix):
+    """The signed permutation matrix with column i equal to eps_i e_sigma(i).
+
+    ``cols`` holds the pairs (sigma(i), eps_i). The rows are shared unit-row
+    tuples, so the matrix equals, hashes and serializes exactly like the
+    ``Matrix`` with the same entries, while callers read the labels directly.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols: Iterable[tuple[int, int]]):
+        self.cols = tuple(cols)
+        n = len(self.cols)
+        units = _unit_rows(n)
+        rows: list[tuple[int, ...] | None] = [None] * n
+        for j, (i, s) in enumerate(self.cols):
+            unit = units.get((j, s))
+            if unit is None or not 0 <= i < n or rows[i] is not None:
+                raise ValueError("columns must be distinct signed units")
+            rows[i] = unit
+        self.rows = tuple(rows)
 
 
 RowLike = Union[Vector, Sequence[Scalarish]]

@@ -25,6 +25,7 @@ from .forms import AltForm, cayley_form, signed_coefficients, sort_with_sign
 from .linalg import (
     Matrix,
     RowSpan,
+    SignedPermutation,
     Vector,
     kernel_basis,
     rank,
@@ -358,19 +359,20 @@ def _sign_solutions(masks: list[int], rhs: list[int]) -> list[int]:
     return out
 
 
-def signed_perm_symmetries(limit: int | None = None) -> list[Matrix]:
+def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
     """Signed permutation matrices preserving the Cayley form with det = +1.
 
     Enumerates the 8! * 2^8 candidates with pruning: a permutation must map
     the 14 term index sets onto themselves before its sign equations are
     even solvable. Output order is deterministic (permutations in lexical
     order, then sign assignments in enumeration order); ``limit`` truncates
-    the search once that many symmetries are found.
+    the search once that many symmetries are found. Each symmetry carries
+    its column labels (sigma(i), eps_i) as ``cols``.
     """
     phi = cayley_form()
     tab = default_cross().phi_signed
     term_sets = set(phi.terms)
-    results: list[Matrix] = []
+    results: list[SignedPermutation] = []
     if limit == 0:
         return results
     for sigma in permutations(range(8)):
@@ -398,10 +400,7 @@ def signed_perm_symmetries(limit: int | None = None) -> list[Matrix]:
                 detr *= e
             if detr != 1:
                 continue
-            rows = [[0] * 8 for _ in range(8)]
-            for i in range(8):
-                rows[sigma[i]][i] = eps[i]
-            results.append(Matrix(rows))
+            results.append(SignedPermutation(zip(sigma, eps)))
             if limit is not None and len(results) >= limit:
                 return results
     return results

@@ -30,7 +30,7 @@ from spin7.acs import (
 )
 from spin7.cross import default_cross
 from spin7.forms import cayley_form, pullback
-from spin7.linalg import Matrix, Vector, det, rank
+from spin7.linalg import Matrix, SignedPermutation, Vector, det, rank
 from spin7.octonion import SignedUnit, default_table
 from spin7.stabilizers import signed_perm_symmetries, spin7
 
@@ -241,7 +241,27 @@ class TestSpanStabilityRoutes:
         for r in syms:
             cols = check_frame(r)
             assert cols is not None
-            assert acs._span_stable_lookup(cols) is acs._span_stable_dense(r) is True
+            sigma = tuple(row for row, _ in cols)
+            assert acs._span_stable_sigma(sigma) is acs._span_stable_dense(r) is True
+
+    def test_verdict_does_not_depend_on_signs(self):
+        # J'_lam = eps_0 eps_lam K_lam(sigma): the verdict keyed on sigma is
+        # the dense verdict for every sign vector, symmetry or not
+        by_sigma: dict[tuple[int, ...], list] = {}
+        for r in signed_perm_symmetries():
+            by_sigma.setdefault(tuple(row for row, _ in r.cols), []).append(r)
+        assert len(by_sigma) == 1344
+        assert all(len(solutions) == 16 for solutions in by_sigma.values())
+        for sigma in list(by_sigma)[::671]:
+            solutions = by_sigma[sigma]
+            verdict = acs._span_stable_sigma(sigma)
+            for r in solutions:
+                assert span_stability(r) is verdict
+                assert acs._span_stable_dense(r) is verdict
+            for bits in range(256):
+                r = SignedPermutation((s, -1 if bits >> i & 1 else 1)
+                                      for i, s in enumerate(sigma))
+                assert acs._span_stable_dense(r) is verdict
 
     def test_cayley_transform_frame_takes_dense_route(self):
         a = spin7().basis[0] * Fraction(1, 2)
@@ -267,7 +287,7 @@ syms = signed_perm_symmetries()
 print(json.dumps({
     "verdict": report.verdict,
     "failed": [f["inputs"] for f in report.failures],
-    "lookup": [acs._span_stable_lookup(acs.check_frame(r)) for r in syms],
+    "lookup": [acs._span_stable_sigma(tuple(s for s, _ in acs.check_frame(r))) for r in syms],
     "dense": [acs._span_stable_dense(r) for r in syms],
 }))
 """
@@ -308,6 +328,40 @@ class TestCheckFrameSignedPermutations:
             flipped = Matrix(rows)
             assert pullback(phi, flipped) != phi
             assert not self.admitted(flipped)
+
+
+class TestCarriedLabels:
+    """The symmetries carry their (sigma(i), eps_i) labels; the labels, the
+    rows and the frame checks stay consistent."""
+
+    def test_labels_agree_with_rows(self):
+        syms = signed_perm_symmetries()
+        assert len(syms) == 21504
+        for r in syms:
+            m = Matrix(r.rows)
+            assert m == r and hash(m) == hash(r)
+            assert acs._as_signed_permutation(m) == list(r.cols)
+        first = signed_perm_symmetries(limit=5)
+        assert first == syms[:5]
+        assert [r.to_json_obj() for r in first] == [Matrix(r.rows).to_json_obj() for r in first]
+
+    def test_check_frame_checks_carried_labels(self):
+        cols = list(signed_perm_symmetries(limit=8)[7].cols)
+        # two flipped signs keep det = +1, so the form check must reject
+        two = [(s, -e) if i in (2, 5) else (s, e) for i, (s, e) in enumerate(cols)]
+        with pytest.raises(FrameNotAdmissible, match="does not preserve the form"):
+            check_frame(SignedPermutation(two))
+        # one flipped sign gives det = -1
+        one = [(s, -e) if i == 2 else (s, e) for i, (s, e) in enumerate(cols)]
+        with pytest.raises(FrameNotAdmissible, match="orientation"):
+            check_frame(SignedPermutation(one))
+        assert check_frame(SignedPermutation(cols)) == tuple(cols)
+
+    def test_rejects_malformed_labels(self):
+        for cols in ([(0, 1)] * 8, [(i, 2) for i in range(8)],
+                     [(i - 1, 1) for i in range(8)], [(i + 1, 1) for i in range(8)]):
+            with pytest.raises(ValueError):
+                SignedPermutation(cols)
 
 
 class TestInducedProductIdentity:

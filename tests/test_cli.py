@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -142,6 +143,16 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--suite", "claimX"])
         assert result.exit_code == 2
 
+    def test_timings_go_to_stderr_only(self, runner):
+        plain = runner.invoke(main, ["verify", "--suite", "claim1"])
+        timed = runner.invoke(main, ["verify", "--suite", "claim1", "--timings"])
+        assert plain.exit_code == timed.exit_code == 0
+        assert timed.stdout == plain.stdout
+        assert plain.stderr == ""
+        lines = timed.stderr.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"claim1: \d+\.\d{3} s, 50 cases", lines[0])
+
     def test_deterministic_output(self, runner):
         first = runner.invoke(main, ["verify", "--suite", "claim2"])
         second = runner.invoke(main, ["verify", "--suite", "claim2"])
@@ -216,6 +227,19 @@ class TestSymmetries:
         lines = result.output.strip().splitlines()
         assert lines[0] == "count: 2"
         assert len(lines) == 3
+
+    def test_text_words_match_json_matrices(self, runner):
+        text = runner.invoke(main, ["symmetries", "--limit", "40"]).output.splitlines()[1:]
+        matrices = json.loads(
+            runner.invoke(main, ["symmetries", "--limit", "40", "--format", "json"]).output
+        )["matrices"]
+        assert len(text) == len(matrices) == 40
+        for line, rows in zip(text, matrices):
+            words = []
+            for i in range(8):
+                r = next(r for r in range(8) if rows[r][i] != "0")
+                words.append(f"{i}->{'-' if rows[r][i].startswith('-') else '+'}{r}")
+            assert line == " ".join(words)
 
     def test_negative_limit(self, runner):
         assert runner.invoke(main, ["symmetries", "--limit", "-1"]).exit_code == 2
