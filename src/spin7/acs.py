@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from math import lcm, prod
 
 from .cross import default_cross
 from .forms import pullback, sort_with_sign
@@ -137,6 +139,33 @@ def span_contains_matrix(m: Matrix) -> bool:
     return True
 
 
+def span_projection(m: Matrix) -> tuple[tuple[Fraction, ...], Matrix]:
+    """The trace-orthogonal projection of an 8x8 matrix onto span{J_1..J_7}.
+
+    Returns the coefficients c_mu = tr(J_mu^T m) / 8 (the trace Gram matrix
+    of the family is 8 I) and the exact residual m - sum(c_mu J_mu). The
+    entries are scaled to integers by the lcm d of their denominators. Each
+    pairing tr(J_mu^T m) is then an integer sum over the 8 signed entries of
+    J_mu's support, c_mu J_mu is subtracted on that support only, and each
+    result is divided by 8 d once.
+    """
+    rows = m.rows
+    d = lcm(*(c.denominator for row in rows for c in row))
+    ints = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+    support = _span_support()
+    pairings = [0] * 8  # d tr(J_lam^T m) at index lam
+    for (a, b), (lam, sign) in support.items():
+        pairings[lam] += ints[a][b] if sign > 0 else -ints[a][b]
+    residual = [[8 * x for x in row] for row in ints]
+    for (a, b), (lam, sign) in support.items():
+        residual[a][b] -= pairings[lam] if sign > 0 else -pairings[lam]
+    den = 8 * d
+    return (
+        tuple(Fraction(p, den) for p in pairings[1:]),
+        Matrix([Fraction(x, den) if x else 0 for x in row] for row in residual),
+    )
+
+
 def times_product(lam: int, mu: int) -> SignedUnit:
     """The product label of J_lam and J_mu under the unit table.
 
@@ -250,12 +279,27 @@ def _as_signed_permutation(r: Matrix) -> Sequence[tuple[int, int]] | None:
     return cols
 
 
+@cache
+def _permuted_terms(sigma: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The sign of the permutation sigma, and phi(e_sigma(key)) for each term
+    key of the Cayley form in term order: the parts of a signed permutation
+    frame's checks that do not depend on its signs."""
+    cp = default_cross()
+    images = tuple(cp.phi_signed.get(tuple(sigma[t] for t in key), 0) for key in cp.phi.terms)
+    return sort_with_sign(sigma)[1], images
+
+
 def check_frame(r: Matrix) -> Sequence[tuple[int, int]] | None:
     """Raise :class:`FrameNotAdmissible` unless R is orthogonal, preserves the
     Cayley form exactly, and has determinant +1.
 
     Returns R's per-column (row, sign) pairs when R is a signed permutation
-    matrix, and None when it is dense.
+    matrix, and None when it is dense. A signed permutation f_i = eps_i
+    e_sigma(i) has determinant sign(sigma) * prod(eps) and maps term key
+    to eps(key) * phi(e_sigma(key)); sign(sigma) and the 14 values
+    phi(e_sigma(key)) are read once per permutation from a cache, and the
+    14-term form check runs on every call, independently of the symmetry
+    search's GF(2) sign system.
     """
     cp = default_cross()
     if r.nrows != 8 or r.ncols != 8:
@@ -264,17 +308,12 @@ def check_frame(r: Matrix) -> Sequence[tuple[int, int]] | None:
     if cols is not None:
         # signed permutations are orthogonal; the form check reduces to
         # mapping the term monomials: phi(R e_key) = eps * phi(e_sigma(key))
-        sigma = [row for row, _ in cols]
-        _, sgn_sigma = sort_with_sign(sigma)
-        detr = sgn_sigma
-        for _, e in cols:
-            detr *= e
-        if detr != 1:
+        sigma, eps = zip(*cols)
+        sgn_sigma, images = _permuted_terms(sigma)
+        if sgn_sigma * prod(eps) != 1:
             raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
-        tab = cp.phi_signed
-        for (a, b, c, d), coeff in cp.phi.terms.items():
-            (sa, ea), (sb, eb), (sc, ec), (sd, ed) = cols[a], cols[b], cols[c], cols[d]
-            if ea * eb * ec * ed * tab.get((sa, sb, sc, sd), 0) != coeff:
+        for ((a, b, c, d), coeff), image in zip(cp.phi.terms.items(), images):
+            if eps[a] * eps[b] * eps[c] * eps[d] * image != coeff:
                 raise FrameNotAdmissible("frame matrix does not preserve the form")
         return cols
     if r.transpose() @ r != Matrix.identity(8):

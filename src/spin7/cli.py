@@ -131,16 +131,20 @@ def cmd_parse(expr: str, fmt: str) -> None:
 )
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="json")
 @click.option("--timings", is_flag=True,
-              help="print each suite's wall time and case count on stderr")
+              help="print each suite's wall time and case count, then the total, on stderr")
 def cmd_verify(suite: str, fmt: str, timings: bool) -> None:
     """Run a verification suite; exit 0 only if every check passes."""
     reports = []
+    first = perf_counter()
     for name in SUITE_NAMES if suite == "all" else (suite,):
         start = perf_counter()
         reports.append(run_suite(name))
         if timings:
             click.echo(f"{name}: {perf_counter() - start:.3f} s, "
                        f"{reports[-1].cases} cases", err=True)
+    if timings:
+        click.echo(f"total: {perf_counter() - first:.3f} s, "
+                   f"{sum(r.cases for r in reports)} cases", err=True)
     if fmt == "json":
         click.echo(reports_to_json(reports))
     else:

@@ -11,9 +11,11 @@ the unit product table.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .forms import AltForm, cayley_form, signed_coefficients
 from .linalg import Vector, gram_det
@@ -47,6 +49,13 @@ class LemmaReport:
         return not self.failures
 
 
+def _cleared(entries: Sequence[tuple[object, Fraction]]) -> tuple[int, list[tuple]]:
+    """(d, [(k, d * c), ...]) for entries (k, c), d the lcm of the
+    denominators, so every scaled value is an int."""
+    d = lcm(*(c.denominator for _, c in entries))
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in entries]
+
+
 class CrossProduct:
     """The alternating triple product dual to a 4-form under the dot product.
 
@@ -62,9 +71,22 @@ class CrossProduct:
         self.phi_signed = signed_coefficients(phi)
         self._basis = tuple(Vector.basis(8, i) for i in range(8))
         self._unit_products: dict[tuple[int, int, int], Vector] = {}
+        # the dense kernel's table (i, j, k) -> ((m, c), ...) holds the signed
+        # coefficients times self._scale, the lcm of their denominators
+        self._scale, scaled = _cleared(tuple(self.phi_signed.items()))
+        self._triples: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
+        for (i, j, k, m), c in scaled:
+            self._triples[(i, j, k)] = self._triples.get((i, j, k), ()) + ((m, c),)
 
     def cross3(self, a: Vector, b: Vector, c: Vector) -> Vector:
-        """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i."""
+        """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i.
+
+        Three single-entry arguments read a cached unit product. Any other
+        input runs an integer kernel: each argument's denominators are
+        cleared once, the products accumulate in Python ints over the
+        signed table (i, j, k) -> ((m, c), ...), and the sum is divided
+        once at the end.
+        """
         na, nb, nc = a.nonzero(), b.nonzero(), c.nonzero()
         if len(na) == 1 and len(nb) == 1 and len(nc) == 1:
             (i, ca), (j, cb), (k, cc) = na[0], nb[0], nc[0]
@@ -74,22 +96,22 @@ class CrossProduct:
                 self._unit_products[(i, j, k)] = base
             w = ca * cb * cc
             return base if w == 1 else base * w
-        tab = self.phi_signed
-        comps = [0] * 8
-        for i, ca in na:
-            for j, cb in nb:
+        (da, na), (db, nb), (dc, nc) = _cleared(na), _cleared(nb), _cleared(nc)
+        tab = self._triples
+        acc = [0] * 8
+        for i, x in na:
+            for j, y in nb:
                 if j == i:
                     continue
-                w2 = ca * cb
-                for k, cc in nc:
-                    if k == i or k == j:
-                        continue
-                    w = w2 * cc
-                    for m in range(8):
-                        co = tab.get((i, j, k, m))
-                        if co:
-                            comps[m] += w * co
-        return Vector(comps)
+                xy = x * y
+                for k, z in nc:
+                    hit = tab.get((i, j, k))
+                    if hit:
+                        w = xy * z
+                        for m, co in hit:
+                            acc[m] += w * co
+        den = da * db * dc * self._scale
+        return Vector(acc if den == 1 else [Fraction(t, den) for t in acc])
 
     def check_compatibility(self, a: Vector, b: Vector, c: Vector) -> CompatibilityReport:
         """Residuals of orthogonality to each argument and of the norm identity.

@@ -387,11 +387,19 @@ class _Parser:
             return (), coeff  # a bare rational is a degree-0 term
         raise self.error(f"expected '*', '+', '-' or end of input, found {ch!r}")
 
+    def parse_numeral(self, start: int) -> int:
+        """The ASCII digits from ``start`` to the current position, as an int."""
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts from text
+            raise self.error(f"malformed rational: {self.pos - start}-digit numeral "
+                             "is too long", start) from None
+
     def parse_rational(self) -> Fraction:
         start = self.pos
         while self.peek() in _DIGITS:
             self.pos += 1
-        num = int(self.text[start:self.pos])
+        num = self.parse_numeral(start)
         if self.peek() != "/":
             return Fraction(num)
         self.pos += 1
@@ -400,7 +408,7 @@ class _Parser:
             self.pos += 1
         if den_start == self.pos:
             raise self.error("malformed rational: missing denominator", den_start)
-        den = int(self.text[den_start:self.pos])
+        den = self.parse_numeral(den_start)
         if den == 0:
             raise self.error("malformed rational: zero denominator", den_start)
         return Fraction(num, den)

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, permutations
+from itertools import combinations
+from typing import Iterator
 
-from .acs import acs_basis, acs_span_dim, span_contains_matrix
+from .acs import acs_basis, acs_span_dim, span_contains_matrix, span_projection
 from .cross import default_cross
 from .forms import AltForm, cayley_form, signed_coefficients, sort_with_sign
 from .linalg import (
@@ -189,6 +190,8 @@ def extract_omega(rho: Matrix) -> OmegaExtraction:
     the commutator; its trace-orthogonal projection yields the coefficient
     matrix, and whatever is left over is reported exactly as a residual
     matrix per direction (a nonzero residual is an outcome, not an error).
+    The pairings tr(J_mu^T delta) are read from the disjoint signed supports
+    of the J's (:func:`acs.span_projection`), not from matrix products.
     """
     if rho.nrows != 8 or rho.ncols != 8:
         raise ValueError("rho must be an 8x8 matrix")
@@ -200,22 +203,12 @@ def extract_omega(rho: Matrix) -> OmegaExtraction:
             if rho[i][j] != -rho[j][i]
         )
         raise ValueError(f"rho is not antisymmetric at {bad}")
-    js = [j.matrix for j in acs_basis()]
     omega_cols = []
     residuals = []
-    for lam in range(1, 8):
-        delta = rho.commutator(js[lam - 1])
-        # the trace Gram matrix of J_1..J_7 is 8 I
-        coeffs = Vector(
-            Fraction((js[mu - 1].transpose() @ delta).trace(), 8) for mu in range(1, 8)
-        )
-        recon = Matrix.zero(8, 8)
-        for mu in range(1, 8):
-            c = coeffs[mu - 1]
-            if c:
-                recon = recon + js[mu - 1] * c
-        omega_cols.append(coeffs.comps)
-        residuals.append(delta - recon)
+    for j in acs_basis():
+        coeffs, residual = span_projection(rho.commutator(j.matrix))
+        omega_cols.append(coeffs)
+        residuals.append(residual)
     omega = Matrix.from_columns(omega_cols)
     return OmegaExtraction(
         omega=omega,
@@ -325,13 +318,18 @@ def decompose_so8() -> DecompositionVerdict:
     )
 
 
-def _sign_solutions(masks: list[int], rhs: list[int]) -> list[int]:
-    """All x in GF(2)^8 with parity(x & mask) = rhs, as bitmask ints, in order.
+def _eliminate(masks: list[int], rhs: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Incremental Gauss-Jordan over GF(2) on the equations parity(x & mask) = rhs.
 
-    Incremental Gauss-Jordan: every stored pivot row contains its own pivot
-    bit plus free bits only, so one reduction pass per incoming row suffices.
+    Returns the pivot rows {pivot bit: (mask, rhs)} and the right-hand sides
+    of the rows that reduce to zero (all zero exactly when the system is
+    consistent). Every stored pivot row contains its own pivot bit plus free
+    bits only, so one reduction pass per incoming row suffices. The rhs
+    entries are XORed alongside the masks, so an entry may be a single bit
+    or a bitmask naming the original rows it combines.
     """
     pivots: dict[int, tuple[int, int]] = {}
+    residues = []
     for mask, b in zip(masks, rhs):
         for bit, (pmask, pb) in pivots.items():
             if mask >> bit & 1:
@@ -343,8 +341,17 @@ def _sign_solutions(masks: list[int], rhs: list[int]) -> list[int]:
                 if omask >> bit & 1:
                     pivots[other] = (omask ^ mask, ob ^ b)
             pivots[bit] = (mask, b)
-        elif b:
-            return []
+        else:
+            residues.append(b)
+    return pivots, residues
+
+
+def _sign_solutions(masks: list[int], rhs: list[int]) -> list[int]:
+    """All x in GF(2)^8 with parity(x & mask) = rhs, as bitmask ints, in order:
+    the free bits count up, and each pivot bit is solved from them."""
+    pivots, residues = _eliminate(masks, rhs)
+    if any(residues):
+        return []
     free_bits = [b for b in range(8) if b not in pivots]
     out = []
     for assign in range(1 << len(free_bits)):
@@ -359,48 +366,99 @@ def _sign_solutions(masks: list[int], rhs: list[int]) -> list[int]:
     return out
 
 
+def _term_permutations() -> Iterator[tuple[int, ...]]:
+    """The permutations sigma of 0..7 that map each of the 14 term index
+    sets of the Cayley form onto a term index set, in lexical order.
+
+    The term sets form a Steiner system S(3,4,8), and these are its 1344
+    automorphisms. A depth-first search assigns sigma(0), sigma(1), ... in
+    increasing order and tests each term as soon as its largest index is
+    assigned, so it yields what filtering ``permutations(range(8))`` would,
+    in the same order, while pruning every other branch early. It is a
+    generator, so a caller that stops early stops the search.
+    """
+    terms = cayley_form().terms
+    term_masks = {sum(1 << t for t in key) for key in terms}
+    closing = [[key[:3] for key in terms if key[3] == p] for p in range(8)]
+    sigma = [0] * 8
+
+    def extend(p: int, used: int) -> Iterator[tuple[int, ...]]:
+        for s in range(8):
+            if used >> s & 1:
+                continue
+            if all((1 << s | 1 << sigma[a] | 1 << sigma[b] | 1 << sigma[c]) in term_masks
+                   for a, b, c in closing[p]):
+                sigma[p] = s
+                if p == 7:
+                    yield tuple(sigma)
+                else:
+                    yield from extend(p + 1, used | 1 << s)
+
+    return extend(0, 0)
+
+
+@cache
+def _sign_system() -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """The sign equations of the search, reduced once.
+
+    With eps_i = (-1)^x_i, each term key of phi gives parity(x & mask) = rhs
+    for the key's index mask, in ``phi.terms`` order. The masks do not
+    depend on sigma, so they are reduced here, each right-hand side tracked
+    as the bitmask of the rows it combines. Returns the solutions for rhs = 0
+    in :func:`_sign_solutions` order, each pivot bit with its row
+    combination, and the combinations that a consistent rhs has even parity on.
+    """
+    masks = [sum(1 << t for t in key) for key in cayley_form().terms]
+    pivots, residues = _eliminate(masks, [1 << r for r in range(len(masks))])
+    kernel = _sign_solutions(masks, [0] * len(masks))
+    return kernel, [(bit, comb) for bit, (_, comb) in pivots.items()], residues
+
+
+def _sign_vectors(sigma: tuple[int, ...]) -> list[int]:
+    """The sign bitmasks x (eps_i = (-1)^x_i) for which f_i = eps_i e_sigma(i)
+    preserves the form: the product of eps over each term key must have the
+    sign of c * phi(e_sigma(key)). The solutions are the fixed kernel XOR one
+    offset solved from sigma's right-hand side, in :func:`_sign_solutions`
+    order."""
+    phi = cayley_form()
+    tab = default_cross().phi_signed
+    rhs = 0
+    for r, (key, c) in enumerate(phi.terms.items()):
+        if c * tab[tuple(sigma[t] for t in key)] < 0:
+            rhs |= 1 << r
+    kernel, pivots, residues = _sign_system()
+    if any((comb & rhs).bit_count() & 1 for comb in residues):
+        return []
+    offset = 0
+    for bit, comb in pivots:
+        if (comb & rhs).bit_count() & 1:
+            offset |= 1 << bit
+    return [x ^ offset for x in kernel]
+
+
 def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
     """Signed permutation matrices preserving the Cayley form with det = +1.
 
-    Enumerates the 8! * 2^8 candidates with pruning: a permutation must map
-    the 14 term index sets onto themselves before its sign equations are
-    even solvable. Output order is deterministic (permutations in lexical
-    order, then sign assignments in enumeration order); ``limit`` truncates
-    the search once that many symmetries are found. Each symmetry carries
-    its column labels (sigma(i), eps_i) as ``cols``.
+    The permutation part must map the 14 term index sets onto themselves,
+    so the depth-first search :func:`_term_permutations` yields the 1344
+    candidates sigma in lexical order. For each, the sign vectors solve a
+    GF(2) system whose masks are reduced once (:func:`_sign_system`); only
+    sigma's right-hand side is reduced per permutation. Output order is
+    deterministic (permutations in lexical order, then sign assignments in
+    enumeration order); ``limit`` stops the search once that many
+    symmetries are found. Each symmetry carries its column labels
+    (sigma(i), eps_i) as ``cols``.
     """
-    phi = cayley_form()
-    tab = default_cross().phi_signed
-    term_sets = set(phi.terms)
     results: list[SignedPermutation] = []
     if limit == 0:
         return results
-    for sigma in permutations(range(8)):
-        ok = True
-        for key in term_sets:
-            if tuple(sorted(sigma[t] for t in key)) not in term_sets:
-                ok = False
-                break
-        if not ok:
-            continue
-        sgn_sigma = sort_with_sign([sigma[i] for i in range(8)])[1]
-        masks = []
-        rhs = []
-        for key, c in phi.terms.items():
-            target = c * tab[tuple(sigma[t] for t in key)]
-            mask = 0
-            for t in key:
-                mask |= 1 << t
-            masks.append(mask)
-            rhs.append(0 if target > 0 else 1)
-        for bits in _sign_solutions(masks, rhs):
-            eps = [1 - 2 * (bits >> i & 1) for i in range(8)]
-            detr = sgn_sigma
-            for e in eps:
-                detr *= e
-            if detr != 1:
+    signs = [tuple(-1 if bits >> i & 1 else 1 for i in range(8)) for bits in range(256)]
+    for sigma in _term_permutations():
+        sgn_sigma = sort_with_sign(sigma)[1]
+        for bits in _sign_vectors(sigma):
+            if sgn_sigma * (-1) ** bits.bit_count() != 1:
                 continue
-            results.append(SignedPermutation(zip(sigma, eps)))
+            results.append(SignedPermutation(zip(sigma, signs[bits])))
             if limit is not None and len(results) >= limit:
                 return results
     return results

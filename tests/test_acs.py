@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from spin7.acs import (
     times_product,
 )
 from spin7.cross import default_cross
-from spin7.forms import cayley_form, pullback
+from spin7.forms import cayley_form, pullback, sort_with_sign
 from spin7.linalg import Matrix, SignedPermutation, Vector, det, rank
 from spin7.octonion import SignedUnit, default_table
 from spin7.stabilizers import signed_perm_symmetries, spin7
@@ -328,6 +329,31 @@ class TestCheckFrameSignedPermutations:
             flipped = Matrix(rows)
             assert pullback(phi, flipped) != phi
             assert not self.admitted(flipped)
+
+    def test_accepts_exactly_the_searched_signs(self):
+        # check_frame's 14-term check and the search's GF(2) route agree on
+        # all 256 sign vectors of 3 symmetric and 2 other permutations
+        searched: dict[tuple[int, ...], set] = {}
+        for r in signed_perm_symmetries():
+            searched.setdefault(tuple(s for s, _ in r.cols), set()).add(
+                tuple(e for _, e in r.cols))
+        inside = list(searched)[::500]
+        outside = [(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)]
+        assert len(inside) == 3 and not set(outside) & set(searched)
+        for sigma in inside + outside:
+            parity = sort_with_sign(sigma)[1]
+            accepted = set()
+            for bits in range(256):
+                eps = tuple(-1 if bits >> i & 1 else 1 for i in range(8))
+                try:
+                    check_frame(SignedPermutation(zip(sigma, eps)))
+                except FrameNotAdmissible as exc:
+                    # orientation is checked first, from the parity of sigma
+                    assert ("orientation" in str(exc)) is (parity * prod(eps) == -1)
+                else:
+                    accepted.add(eps)
+            assert accepted == searched.get(sigma, set())
+            assert len(accepted) == (16 if sigma in searched else 0)
 
 
 class TestCarriedLabels:

@@ -110,6 +110,15 @@ class TestParse:
         assert fragment in result.output
         assert "position" in result.output
 
+    @pytest.mark.parametrize("expr,position", [("9" * 5000 + "*e1", 0),
+                                               ("1/" + "9" * 5000 + "*e1", 2)])
+    def test_oversized_numeral_exit_2(self, runner, expr, position):
+        # int() refuses text numerals past Python's 4300-digit limit
+        result = runner.invoke(main, ["parse", expr])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"5000-digit numeral is too long (at position {position})" in result.output
+
     @pytest.mark.parametrize("expr", ["e²", "²*e1", "1/²*e1", "e^{0²}", "٣*e1"])
     def test_non_ascii_digits_exit_2(self, runner, expr):
         # str.isdigit accepts these; int() then crashes or reads them as 2/3
@@ -150,8 +159,9 @@ class TestVerify:
         assert timed.stdout == plain.stdout
         assert plain.stderr == ""
         lines = timed.stderr.splitlines()
-        assert len(lines) == 1
+        assert len(lines) == 2
         assert re.fullmatch(r"claim1: \d+\.\d{3} s, 50 cases", lines[0])
+        assert re.fullmatch(r"total: \d+\.\d{3} s, 50 cases", lines[1])
 
     def test_deterministic_output(self, runner):
         first = runner.invoke(main, ["verify", "--suite", "claim2"])

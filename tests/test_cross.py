@@ -73,6 +73,46 @@ class TestCross3:
             E[0], E[2], E[4]
         )
 
+    @staticmethod
+    def dense_triples(seed):
+        # mixed int / Fraction entries with denominators up to 10^6, some
+        # zero entries, a zero argument and repeated arguments
+        rng = random.Random(seed)
+
+        def entry():
+            kind = rng.randrange(3)
+            if kind == 0:
+                return 0
+            if kind == 1:
+                return rng.randint(-10 ** 6, 10 ** 6)
+            return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+        vecs = [Vector(entry() for _ in range(8)) for _ in range(24)]
+        triples = [tuple(vecs[3 * k: 3 * k + 3]) for k in range(8)]
+        a, b = vecs[0], vecs[1]
+        triples += [(a, a, b), (a, b, a), (a, b, b), (Vector.zero(8), a, b), (a, E[3], b)]
+        return triples
+
+    @staticmethod
+    def assert_duality(cp, a, b, c):
+        p = cp.cross3(a, b, c)
+        assert list(p) == [cp.phi.evaluate([a, b, c, E[m]]) for m in range(8)]
+
+    def test_dense_kernel_matches_duality(self):
+        cp = default_cross()
+        for a, b, c in self.dense_triples(31):
+            self.assert_duality(cp, a, b, c)
+
+    def test_dense_kernel_on_fractional_form(self):
+        # not the Cayley form: fractional and integer coefficients, 8 terms
+        rng = random.Random(32)
+        keys = rng.sample(sorted(ORACLE_TERMS), 6) + [(0, 1, 2, 4), (3, 5, 6, 7)]
+        coeffs = [Fraction(2, 3), Fraction(-5, 7), 3, Fraction(1, 10 ** 6), -1,
+                  Fraction(9, 4), Fraction(-1, 6), 2]
+        cp = CrossProduct(AltForm(4, dict(zip(keys, coeffs))))
+        for a, b, c in self.dense_triples(33):
+            self.assert_duality(cp, a, b, c)
+
 
 class TestCompatibility:
     def test_orthonormal_triple(self):

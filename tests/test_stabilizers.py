@@ -1,13 +1,16 @@
 """Stabilizer algebras, connection coefficients, constraint system, symmetries."""
 
+import inspect
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
+from spin7 import stabilizers
 from spin7.acs import acs_basis
 from spin7.forms import cayley_form, pullback, sort_with_sign
-from spin7.linalg import Matrix
+from spin7.linalg import Matrix, Vector
 from spin7.stabilizers import (
     SO7_PAIRS,
     SO8_PAIRS,
@@ -30,6 +33,7 @@ EXPECTED_IN_G2 = [False] * 21
 EXPECTED_CONSTRAINT_DIM = 0
 EXPECTED_CONSTRAINT_EQUALS_G2 = False
 EXPECTED_SYMMETRY_COUNT = 21504
+E8 = [Vector.basis(8, i) for i in range(8)]
 
 
 class TestFormAction:
@@ -165,6 +169,29 @@ class TestExtractOmega:
             stacked = base.col_join(sympy.Matrix([list(ext.omega.flatten())]))
             assert (stacked.rank() == 14) == ext.in_g2
 
+    def test_coefficients_and_residuals_match_trace_pairing(self):
+        # reference: the trace pairing by matrix products, and the residual
+        # as the commutator minus its reconstruction
+        js = [j.matrix for j in acs_basis()]
+        rng = random.Random(12)
+        rhos = list(spin7().basis) + [js[0]]
+        for _ in range(4):
+            rows = [[0] * 8 for _ in range(8)]
+            for i, j in combinations(range(8), 2):
+                c = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+                rows[i][j], rows[j][i] = c, -c
+            rhos.append(Matrix(rows))
+        for rho in rhos:
+            ext = extract_omega(rho)
+            for lam in range(1, 8):
+                delta = rho.commutator(js[lam - 1])
+                recon = Matrix.zero(8, 8)
+                for mu in range(1, 8):
+                    c = Fraction((js[mu - 1].transpose() @ delta).trace(), 8)
+                    assert ext.omega[mu - 1][lam - 1] == c
+                    recon = recon + js[mu - 1] * c
+                assert ext.residuals[lam - 1] == delta - recon
+
     def test_negative_control(self):
         ext = extract_omega(acs_basis()[0].matrix)
         assert not ext.residual_zero
@@ -245,9 +272,38 @@ class TestSymmetries:
     def test_frozen_count(self):
         assert len(signed_perm_symmetries()) == EXPECTED_SYMMETRY_COUNT
 
-    def test_limit_prefix(self):
+    def test_limit_prefix(self, monkeypatch):
         full = signed_perm_symmetries()
-        assert signed_perm_symmetries(limit=5) == full[:5]
+        for k in (1, 5, 15, 16, 17, 1000):
+            assert signed_perm_symmetries(limit=k) == full[:k]
+        # the identity permutation alone gives 16 symmetries, so a limit of
+        # 16 must stop the search before it solves a second permutation
+        solved = []
+        sign_vectors = stabilizers._sign_vectors
+        monkeypatch.setattr(stabilizers, "_sign_vectors",
+                            lambda sigma: solved.append(sigma) or sign_vectors(sigma))
+        assert len(signed_perm_symmetries(limit=16)) == 16
+        assert solved == [tuple(range(8))]
+        assert inspect.isgenerator(stabilizers._term_permutations())
+
+    def test_depth_first_search_matches_permutation_filter(self):
+        term_sets = set(cayley_form().terms)
+        brute = [
+            sigma for sigma in permutations(range(8))
+            if all(tuple(sorted(sigma[t] for t in key)) in term_sets for key in term_sets)
+        ]
+        assert len(brute) == 1344
+        assert list(stabilizers._term_permutations()) == brute
+
+    def test_once_reduced_signs_match_solver(self):
+        # per permutation: the fixed kernel XOR one offset equals a fresh
+        # reduction of the whole system, in the same order
+        phi = cayley_form()
+        masks = [sum(1 << t for t in key) for key in phi.terms]
+        for sigma in stabilizers._term_permutations():
+            rhs = [1 if c * phi.evaluate([E8[sigma[t]] for t in key]) < 0 else 0
+                   for key, c in phi.terms.items()]
+            assert stabilizers._sign_vectors(sigma) == stabilizers._sign_solutions(masks, rhs)
 
     def test_all_preserve_form_spotcheck(self):
         phi = cayley_form()
