@@ -11,7 +11,6 @@ rotation preserving the form.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -254,31 +253,6 @@ def rotated_acs_family(r: Matrix) -> list[Matrix]:
     return out
 
 
-def _as_signed_permutation(r: Matrix) -> Sequence[tuple[int, int]] | None:
-    """Per-column (row, sign) when r is a signed permutation matrix, else None.
-
-    A :class:`SignedPermutation` already carries these labels; any other
-    matrix is decoded from its entries.
-    """
-    if isinstance(r, SignedPermutation):
-        return r.cols
-    cols: list[tuple[int, int]] = []
-    seen = 0
-    for j in range(8):
-        hit = None
-        for i in range(8):
-            v = r.rows[i][j]
-            if v:
-                if hit is not None or (v != 1 and v != -1):
-                    return None
-                hit = (i, 1 if v == 1 else -1)
-        if hit is None or seen >> hit[0] & 1:
-            return None
-        seen |= 1 << hit[0]
-        cols.append(hit)
-    return cols
-
-
 @cache
 def _permuted_terms(sigma: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The sign of the permutation sigma, and phi(e_sigma(key)) for each term
@@ -289,40 +263,37 @@ def _permuted_terms(sigma: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sort_with_sign(sigma)[1], images
 
 
-def check_frame(r: Matrix) -> Sequence[tuple[int, int]] | None:
+def check_frame(r: Matrix) -> None:
     """Raise :class:`FrameNotAdmissible` unless R is orthogonal, preserves the
     Cayley form exactly, and has determinant +1.
 
-    Returns R's per-column (row, sign) pairs when R is a signed permutation
-    matrix, and None when it is dense. A signed permutation f_i = eps_i
-    e_sigma(i) has determinant sign(sigma) * prod(eps) and maps term key
-    to eps(key) * phi(e_sigma(key)); sign(sigma) and the 14 values
-    phi(e_sigma(key)) are read once per permutation from a cache, and the
-    14-term form check runs on every call, independently of the symmetry
-    search's GF(2) sign system.
+    The route is chosen by type. A :class:`SignedPermutation` R, f_i = eps_i
+    e_sigma(i), is checked on its carried labels: it is orthogonal, has
+    determinant sign(sigma) * prod(eps) and maps term key to eps(key) *
+    phi(e_sigma(key)); sign(sigma) and the 14 values phi(e_sigma(key)) are
+    read once per permutation from a cache, and the orientation and 14-term
+    form checks run on every call, independently of the symmetry search's
+    sign table. Any other matrix, including a plain ``Matrix`` with signed
+    permutation entries, is checked densely.
     """
     cp = default_cross()
     if r.nrows != 8 or r.ncols != 8:
         raise FrameNotAdmissible("frame matrix must be 8x8")
-    cols = _as_signed_permutation(r)
-    if cols is not None:
-        # signed permutations are orthogonal; the form check reduces to
-        # mapping the term monomials: phi(R e_key) = eps * phi(e_sigma(key))
-        sigma, eps = zip(*cols)
+    if isinstance(r, SignedPermutation):
+        sigma, eps = zip(*r.cols)
         sgn_sigma, images = _permuted_terms(sigma)
         if sgn_sigma * prod(eps) != 1:
             raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
         for ((a, b, c, d), coeff), image in zip(cp.phi.terms.items(), images):
             if eps[a] * eps[b] * eps[c] * eps[d] * image != coeff:
                 raise FrameNotAdmissible("frame matrix does not preserve the form")
-        return cols
+        return
     if r.transpose() @ r != Matrix.identity(8):
         raise FrameNotAdmissible("frame matrix is not orthogonal")
     if det(r) != 1:
         raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
     if pullback(cp.phi, r) != cp.phi:
         raise FrameNotAdmissible("frame matrix does not preserve the form")
-    return None
 
 
 @cache
@@ -387,9 +358,11 @@ def span_stability(r: Matrix) -> bool:
     the Cayley form (:class:`FrameNotAdmissible` otherwise), e.g. one
     returned by the stabilizer module's symmetry search.
 
-    A dense R takes the dense route: build the rotated family J'_1..J'_7
-    as matrices, test each for membership in span{J} and require rank 7.
-    A signed permutation R, f_i = eps_i e_sigma(i), takes the label route.
+    The route is chosen by type, as in :func:`check_frame`. Any R that is
+    not a :class:`SignedPermutation` takes the dense route: build the
+    rotated family J'_1..J'_7 as matrices, test each for membership in
+    span{J} and require rank 7. A :class:`SignedPermutation` R, f_i = eps_i
+    e_sigma(i), takes the label route on its ``cols``.
     P is trilinear, so J'_lam e_sigma(i) = eps_i P(f_0, f_lam, f_i) =
     eps_0 eps_lam P(e_sigma(0), e_sigma(lam), e_sigma(i)), and the pair
     f_0 -> f_lam, f_lam -> -f_0 carries the same factor: J'_lam =
@@ -406,7 +379,7 @@ def span_stability(r: Matrix) -> bool:
     mu are distinct. Both routes decide the same fact exactly, and
     check_frame runs in full on every frame first.
     """
-    cols = check_frame(r)
-    if cols is None:
-        return _span_stable_dense(r)
-    return _span_stable_sigma(tuple(row for row, _ in cols))
+    check_frame(r)
+    if isinstance(r, SignedPermutation):
+        return _span_stable_sigma(tuple(row for row, _ in r.cols))
+    return _span_stable_dense(r)

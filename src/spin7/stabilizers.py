@@ -20,9 +20,15 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterator
 
-from .acs import acs_basis, acs_span_dim, span_contains_matrix, span_projection
+from .acs import (
+    _permuted_terms,
+    acs_basis,
+    acs_span_dim,
+    span_contains_matrix,
+    span_projection,
+)
 from .cross import default_cross
-from .forms import AltForm, cayley_form, signed_coefficients, sort_with_sign
+from .forms import AltForm, cayley_form, signed_coefficients
 from .linalg import (
     Matrix,
     RowSpan,
@@ -318,54 +324,6 @@ def decompose_so8() -> DecompositionVerdict:
     )
 
 
-def _eliminate(masks: list[int], rhs: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Incremental Gauss-Jordan over GF(2) on the equations parity(x & mask) = rhs.
-
-    Returns the pivot rows {pivot bit: (mask, rhs)} and the right-hand sides
-    of the rows that reduce to zero (all zero exactly when the system is
-    consistent). Every stored pivot row contains its own pivot bit plus free
-    bits only, so one reduction pass per incoming row suffices. The rhs
-    entries are XORed alongside the masks, so an entry may be a single bit
-    or a bitmask naming the original rows it combines.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    residues = []
-    for mask, b in zip(masks, rhs):
-        for bit, (pmask, pb) in pivots.items():
-            if mask >> bit & 1:
-                mask ^= pmask
-                b ^= pb
-        if mask:
-            bit = (mask & -mask).bit_length() - 1
-            for other, (omask, ob) in list(pivots.items()):
-                if omask >> bit & 1:
-                    pivots[other] = (omask ^ mask, ob ^ b)
-            pivots[bit] = (mask, b)
-        else:
-            residues.append(b)
-    return pivots, residues
-
-
-def _sign_solutions(masks: list[int], rhs: list[int]) -> list[int]:
-    """All x in GF(2)^8 with parity(x & mask) = rhs, as bitmask ints, in order:
-    the free bits count up, and each pivot bit is solved from them."""
-    pivots, residues = _eliminate(masks, rhs)
-    if any(residues):
-        return []
-    free_bits = [b for b in range(8) if b not in pivots]
-    out = []
-    for assign in range(1 << len(free_bits)):
-        x = 0
-        for k, bit in enumerate(free_bits):
-            if assign >> k & 1:
-                x |= 1 << bit
-        for bit, (pmask, pb) in pivots.items():
-            if pb ^ (bin(pmask & x).count("1") % 2):
-                x |= 1 << bit
-        out.append(x)
-    return out
-
-
 def _term_permutations() -> Iterator[tuple[int, ...]]:
     """The permutations sigma of 0..7 that map each of the 14 term index
     sets of the Cayley form onto a term index set, in lexical order.
@@ -398,42 +356,35 @@ def _term_permutations() -> Iterator[tuple[int, ...]]:
 
 
 @cache
-def _sign_system() -> tuple[list[int], list[tuple[int, int]], list[int]]:
-    """The sign equations of the search, reduced once.
+def _sign_classes() -> dict[int, list[int]]:
+    """The 256 sign bitmasks x (eps_i = (-1)^x_i), grouped by the terms they flip.
 
-    With eps_i = (-1)^x_i, each term key of phi gives parity(x & mask) = rhs
-    for the key's index mask, in ``phi.terms`` order. The masks do not
-    depend on sigma, so they are reduced here, each right-hand side tracked
-    as the bitmask of the rows it combines. Returns the solutions for rhs = 0
-    in :func:`_sign_solutions` order, each pivot bit with its row
-    combination, and the combinations that a consistent rhs has even parity on.
+    Bit r of a flip mask is set when the product of eps over the r-th term
+    key of phi (in ``phi.terms`` order) is -1. The map from x to its flip
+    mask is GF(2)-linear of rank 4 for the Cayley form, so the masks fall
+    into 16 classes of 16; each class lists its x in ascending order.
     """
-    masks = [sum(1 << t for t in key) for key in cayley_form().terms]
-    pivots, residues = _eliminate(masks, [1 << r for r in range(len(masks))])
-    kernel = _sign_solutions(masks, [0] * len(masks))
-    return kernel, [(bit, comb) for bit, (_, comb) in pivots.items()], residues
+    keys = [sum(1 << t for t in key) for key in cayley_form().terms]
+    classes: dict[int, list[int]] = {}
+    for x in range(256):
+        flips = sum(1 << r for r, key in enumerate(keys) if (x & key).bit_count() & 1)
+        classes.setdefault(flips, []).append(x)
+    return classes
 
 
 def _sign_vectors(sigma: tuple[int, ...]) -> list[int]:
     """The sign bitmasks x (eps_i = (-1)^x_i) for which f_i = eps_i e_sigma(i)
-    preserves the form: the product of eps over each term key must have the
-    sign of c * phi(e_sigma(key)). The solutions are the fixed kernel XOR one
-    offset solved from sigma's right-hand side, in :func:`_sign_solutions`
-    order."""
-    phi = cayley_form()
-    tab = default_cross().phi_signed
-    rhs = 0
-    for r, (key, c) in enumerate(phi.terms.items()):
-        if c * tab[tuple(sigma[t] for t in key)] < 0:
-            rhs |= 1 << r
-    kernel, pivots, residues = _sign_system()
-    if any((comb & rhs).bit_count() & 1 for comb in residues):
+    preserves the form, in ascending order: none unless sigma maps each term
+    set onto a term set, and otherwise the product of eps over each term key
+    must have the sign of c * phi(e_sigma(key)), so the terms to flip are
+    read from the cached :func:`acs._permuted_terms` and looked up in
+    :func:`_sign_classes`."""
+    images = _permuted_terms(sigma)[1]
+    if 0 in images:
         return []
-    offset = 0
-    for bit, comb in pivots:
-        if (comb & rhs).bit_count() & 1:
-            offset |= 1 << bit
-    return [x ^ offset for x in kernel]
+    flips = sum(1 << r for r, (c, image) in enumerate(zip(cayley_form().terms.values(), images))
+                if c * image < 0)
+    return _sign_classes().get(flips, [])
 
 
 def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
@@ -441,20 +392,23 @@ def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
 
     The permutation part must map the 14 term index sets onto themselves,
     so the depth-first search :func:`_term_permutations` yields the 1344
-    candidates sigma in lexical order. For each, the sign vectors solve a
-    GF(2) system whose masks are reduced once (:func:`_sign_system`); only
-    sigma's right-hand side is reduced per permutation. Output order is
-    deterministic (permutations in lexical order, then sign assignments in
-    enumeration order); ``limit`` stops the search once that many
-    symmetries are found. Each symmetry carries its column labels
-    (sigma(i), eps_i) as ``cols``.
+    candidates sigma in lexical order. For each, the sign vectors are one
+    class of the 16-class sign table (:func:`_sign_vectors`), and sign(sigma)
+    comes from the same per-sigma cache that ``check_frame`` reads
+    (:func:`acs._permuted_terms`). Output order is deterministic
+    (permutations in lexical order, then sign bitmasks in ascending order);
+    ``limit`` stops the search once that many symmetries are found, and a
+    negative ``limit`` raises ``ValueError``. Each symmetry carries its
+    column labels (sigma(i), eps_i) as ``cols``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     results: list[SignedPermutation] = []
     if limit == 0:
         return results
     signs = [tuple(-1 if bits >> i & 1 else 1 for i in range(8)) for bits in range(256)]
     for sigma in _term_permutations():
-        sgn_sigma = sort_with_sign(sigma)[1]
+        sgn_sigma = _permuted_terms(sigma)[0]
         for bits in _sign_vectors(sigma):
             if sgn_sigma * (-1) ** bits.bit_count() != 1:
                 continue

@@ -240,9 +240,8 @@ class TestSpanStabilityRoutes:
         syms = signed_perm_symmetries()[::64]
         assert len(syms) == 336
         for r in syms:
-            cols = check_frame(r)
-            assert cols is not None
-            sigma = tuple(row for row, _ in cols)
+            assert isinstance(r, SignedPermutation) and check_frame(r) is None
+            sigma = tuple(row for row, _ in r.cols)
             assert acs._span_stable_sigma(sigma) is acs._span_stable_dense(r) is True
 
     def test_verdict_does_not_depend_on_signs(self):
@@ -285,10 +284,12 @@ from spin7.stabilizers import signed_perm_symmetries
 from spin7.verify import suite_claim3
 report = suite_claim3()
 syms = signed_perm_symmetries()
+for r in syms:
+    acs.check_frame(r)
 print(json.dumps({
     "verdict": report.verdict,
     "failed": [f["inputs"] for f in report.failures],
-    "lookup": [acs._span_stable_sigma(tuple(s for s, _ in acs.check_frame(r))) for r in syms],
+    "lookup": [acs._span_stable_sigma(tuple(s for s, _ in r.cols)) for r in syms],
     "dense": [acs._span_stable_dense(r) for r in syms],
 }))
 """
@@ -331,7 +332,7 @@ class TestCheckFrameSignedPermutations:
             assert not self.admitted(flipped)
 
     def test_accepts_exactly_the_searched_signs(self):
-        # check_frame's 14-term check and the search's GF(2) route agree on
+        # check_frame's 14-term check and the search's sign table agree on
         # all 256 sign vectors of 3 symmetric and 2 other permutations
         searched: dict[tuple[int, ...], set] = {}
         for r in signed_perm_symmetries():
@@ -366,7 +367,11 @@ class TestCarriedLabels:
         for r in syms:
             m = Matrix(r.rows)
             assert m == r and hash(m) == hash(r)
-            assert acs._as_signed_permutation(m) == list(r.cols)
+        # a plain copy takes the dense route of both checks
+        for r in syms[::64]:
+            m = Matrix(r.rows)
+            assert check_frame(m) is None
+            assert span_stability(m) is True
         first = signed_perm_symmetries(limit=5)
         assert first == syms[:5]
         assert [r.to_json_obj() for r in first] == [Matrix(r.rows).to_json_obj() for r in first]
@@ -381,7 +386,8 @@ class TestCarriedLabels:
         one = [(s, -e) if i == 2 else (s, e) for i, (s, e) in enumerate(cols)]
         with pytest.raises(FrameNotAdmissible, match="orientation"):
             check_frame(SignedPermutation(one))
-        assert check_frame(SignedPermutation(cols)) == tuple(cols)
+        r = SignedPermutation(cols)
+        assert check_frame(r) is None and r.cols == tuple(cols)
 
     def test_rejects_malformed_labels(self):
         for cols in ([(0, 1)] * 8, [(i, 2) for i in range(8)],

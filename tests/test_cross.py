@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -221,6 +221,20 @@ class TestNegativeControls:
         assert report.cases == 32768
         assert len(report.failures) == 2592
         assert report.failures[0]["inputs"] == "(e0; e1; e0; e4; e6)"
+        # the sweep's inlined right side agrees with composition_sides: on
+        # every failure record, and on a seeded sample of the passing tuples
+        cp = spin7.cross.default_cross()
+        failed = set()
+        for f in report.failures:
+            idx = tuple(int(e[1:]) for e in f["inputs"][1:-1].split("; "))
+            failed.add(idx)
+            lhs, rhs = cp.composition_sides(*(E[i] for i in idx))
+            assert (f["lhs"], f["rhs"]) == (str(lhs), str(rhs))
+        assert len(failed) == 2592
+        passed = [idx for idx in product(range(8), repeat=5) if idx not in failed]
+        for idx in random.Random(5).sample(passed, 1000):
+            lhs, rhs = cp.composition_sides(*(E[i] for i in idx))
+            assert lhs == rhs
 
 
 class TestCross2:

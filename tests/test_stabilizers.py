@@ -1,6 +1,8 @@
 """Stabilizer algebras, connection coefficients, constraint system, symmetries."""
 
+import hashlib
 import inspect
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -33,6 +35,8 @@ EXPECTED_IN_G2 = [False] * 21
 EXPECTED_CONSTRAINT_DIM = 0
 EXPECTED_CONSTRAINT_EQUALS_G2 = False
 EXPECTED_SYMMETRY_COUNT = 21504
+# sha256 of json.dumps([r.cols for r in signed_perm_symmetries()])
+SYMMETRY_ORDER_SHA256 = "51f0ffba49ed65324813e44d9cfa72a8224a6adb041b212f5a7dfa8ee057e617"
 E8 = [Vector.basis(8, i) for i in range(8)]
 
 
@@ -295,15 +299,31 @@ class TestSymmetries:
         assert len(brute) == 1344
         assert list(stabilizers._term_permutations()) == brute
 
-    def test_once_reduced_signs_match_solver(self):
-        # per permutation: the fixed kernel XOR one offset equals a fresh
-        # reduction of the whole system, in the same order
+    def test_sign_classes_match_bruteforce(self):
+        # per permutation: the class looked up in the sign table is every x
+        # in range(256) whose eps preserves all 14 terms, in ascending order
         phi = cayley_form()
-        masks = [sum(1 << t for t in key) for key in phi.terms]
+        flips = [tuple(sum(x >> t & 1 for t in key) % 2 for key in phi.terms)
+                 for x in range(256)]
         for sigma in stabilizers._term_permutations():
-            rhs = [1 if c * phi.evaluate([E8[sigma[t]] for t in key]) < 0 else 0
-                   for key, c in phi.terms.items()]
-            assert stabilizers._sign_vectors(sigma) == stabilizers._sign_solutions(masks, rhs)
+            need = tuple(1 if c * phi.evaluate([E8[sigma[t]] for t in key]) < 0 else 0
+                         for key, c in phi.terms.items())
+            brute = [x for x in range(256) if flips[x] == need]
+            assert len(brute) == 16
+            assert stabilizers._sign_vectors(sigma) == brute
+        # a permutation that moves a term set off the terms has no signs
+        for sigma in [(1, 0, 2, 3, 4, 5, 6, 7), (0, 5, 3, 2, 1, 4, 7, 6)]:
+            assert stabilizers._sign_vectors(sigma) == []
+
+    def test_negative_limit_raises(self):
+        for k in (-1, -3):
+            with pytest.raises(ValueError, match="nonnegative"):
+                signed_perm_symmetries(limit=k)
+
+    def test_order_pinned(self):
+        # the labels of all 21504 symmetries, in search order
+        cols = json.dumps([r.cols for r in signed_perm_symmetries()])
+        assert hashlib.sha256(cols.encode()).hexdigest() == SYMMETRY_ORDER_SHA256
 
     def test_all_preserve_form_spotcheck(self):
         phi = cayley_form()
