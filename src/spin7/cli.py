@@ -195,7 +195,7 @@ def cmd_omega(rho_path: str, fmt: str) -> None:
         with open(rho_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         rho = Matrix.from_json_obj(obj, shape=(8, 8))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"cannot read rho matrix: {exc}") from exc
     try:
         ext = extract_omega(rho)
@@ -225,13 +225,11 @@ def cmd_omega(rho_path: str, fmt: str) -> None:
 
 
 @main.command("symmetries")
-@click.option("--limit", type=int, default=None, help="stop after this many")
+@click.option("--limit", type=click.IntRange(min=0), default=None, help="stop after this many")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--count-only", is_flag=True, help="print only the count")
 def cmd_symmetries(limit: int | None, fmt: str, count_only: bool) -> None:
     """Enumerate signed-permutation symmetries of the form (det = +1)."""
-    if limit is not None and limit < 0:
-        raise click.UsageError("--limit must be nonnegative")
     mats = signed_perm_symmetries(limit)
     if count_only:
         click.echo(str(len(mats)))

@@ -70,7 +70,6 @@ class CrossProduct:
         self.phi = phi
         self.phi_signed = signed_coefficients(phi)
         self._basis = tuple(Vector.basis(8, i) for i in range(8))
-        self._unit_products: dict[tuple[int, int, int], Vector] = {}
         # the dense kernel's table (i, j, k) -> ((m, c), ...) holds the signed
         # coefficients times self._scale, the lcm of their denominators
         self._scale, scaled = _cleared(tuple(self.phi_signed.items()))
@@ -81,22 +80,12 @@ class CrossProduct:
     def cross3(self, a: Vector, b: Vector, c: Vector) -> Vector:
         """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i.
 
-        Three single-entry arguments read a cached unit product. Any other
-        input runs an integer kernel: each argument's denominators are
-        cleared once, the products accumulate in Python ints over the
+        Every input runs one integer kernel: each argument's denominators
+        are cleared once, the products accumulate in Python ints over the
         signed table (i, j, k) -> ((m, c), ...), and the sum is divided
         once at the end.
         """
-        na, nb, nc = a.nonzero(), b.nonzero(), c.nonzero()
-        if len(na) == 1 and len(nb) == 1 and len(nc) == 1:
-            (i, ca), (j, cb), (k, cc) = na[0], nb[0], nc[0]
-            base = self._unit_products.get((i, j, k))
-            if base is None:
-                base = Vector([self.phi_signed.get((i, j, k, m), 0) for m in range(8)])
-                self._unit_products[(i, j, k)] = base
-            w = ca * cb * cc
-            return base if w == 1 else base * w
-        (da, na), (db, nb), (dc, nc) = _cleared(na), _cleared(nb), _cleared(nc)
+        (da, na), (db, nb), (dc, nc) = (_cleared(t.nonzero()) for t in (a, b, c))
         tab = self._triples
         acc = [0] * 8
         for i, x in na:
@@ -149,49 +138,57 @@ class CrossProduct:
     def composition_rhs(
         self, a: Vector, b: Vector, u: Vector, v: Vector, w: Vector
     ) -> Vector:
-        """The 12-term right side of the composition rule.
+        """The 12-term right side of the composition rule (see
+        :func:`_composition_block`)."""
+        g, phi = Vector.dot, self.phi.evaluate
+        uvw = (u, v, w)
+        return Vector(_composition_block(
+            a, b, uvw,
+            (g(a, u), g(a, v), g(a, w)),
+            (g(b, u), g(b, v), g(b, w)),
+            [phi([a, b, uvw[x], uvw[y]]) for x, y, _ in _ROTATIONS],
+            [t.nonzero() for t in uvw],
+            lambda s, x, y: self.cross3(s, x, y).nonzero(),
+        ))
 
-        Uses the pairing g(x^y, s^t) = g(x,s)g(y,t) - g(x,t)g(y,s) verbatim,
-        including its index order in the w^u term.
-        """
-        g = Vector.dot
-        phi = self.phi.evaluate
 
-        def wedge_pair(x: Vector, y: Vector, s: Vector, t: Vector) -> Fraction:
-            return g(x, s) * g(y, t) - g(x, t) * g(y, s)
+# the cyclic rotations (x, y, z) of (u, v, w), as positions in (u, v, w)
+_ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-        acc = [0] * 8
 
-        def add(scalar: Fraction, vec: Vector) -> None:
-            if scalar:
-                for i, c in vec.nonzero():
-                    acc[i] += scalar * c
+def _composition_block(a, b, uvw, ga, gb, phis, nz, p) -> list:
+    """The right side of the composition rule P(a, b, P(u, v, w)) = ..., as
+    8 components: the sum over the cyclic rotations (x, y, z) of (u, v, w)
+    of the block
 
-        add(-wedge_pair(a, b, u, v) - phi([a, b, u, v]), w)
-        s = g(b, w)
+        -(g(a,x)g(b,y) - g(a,y)g(b,x) + phi(a,b,x,y)) z
+            + g(b,z) P(a,x,y) - g(a,z) P(b,x,y).
+
+    The first bracket is the pairing g(a^b, x^y) of 2-vectors. The
+    rotations are (u, v, w), (v, w, u) and (w, u, v); the last keeps the
+    paper's (w, u) index order. ``a``, ``b`` and ``uvw`` are whatever
+    ``p`` takes, ``ga`` and ``gb`` are (g(a,u), g(a,v), g(a,w)) and
+    (g(b,u), g(b,v), g(b,w)), ``phis`` holds phi(a,b,x,y) in rotation
+    order, ``nz`` the nonzero entries of u, v and w, and ``p(s, x, y)``
+    the nonzero entries of P(s, x, y). Both the dense route
+    (:meth:`CrossProduct.composition_rhs`) and the basis sweep
+    (:func:`verify_composition_lemma`) call it.
+    """
+    acc = [0] * 8
+    for r, (x, y, z) in enumerate(_ROTATIONS):
+        s = -(ga[x] * gb[y] - ga[y] * gb[x] + phis[r])
         if s:
-            add(s, self.cross3(a, u, v))
-        s = g(a, w)
+            for m, c in nz[z]:
+                acc[m] += s * c
+        s = gb[z]
         if s:
-            add(-s, self.cross3(b, u, v))
-
-        add(-wedge_pair(a, b, v, w) - phi([a, b, v, w]), u)
-        s = g(b, u)
+            for m, c in p(a, uvw[x], uvw[y]):
+                acc[m] += s * c
+        s = ga[z]
         if s:
-            add(s, self.cross3(a, v, w))
-        s = g(a, u)
-        if s:
-            add(-s, self.cross3(b, v, w))
-
-        add(-wedge_pair(a, b, w, u) - phi([a, b, w, u]), v)
-        s = g(b, v)
-        if s:
-            add(s, self.cross3(a, w, u))
-        s = g(a, v)
-        if s:
-            add(-s, self.cross3(b, w, u))
-
-        return Vector(acc)
+            for m, c in p(b, uvw[x], uvw[y]):
+                acc[m] -= s * c
+    return acc
 
 
 @cache
@@ -232,17 +229,19 @@ def verify_composition_lemma() -> LemmaReport:
     5-tuples, which by multilinearity of both sides covers all inputs."""
     cp = default_cross()
     report = LemmaReport()
-    # Exhaustive basis sweep with precomputed basis products; identical to
-    # calling composition_sides directly, just without re-deriving basis
-    # values 32768 times. On basis vectors g(e_x, e_y) is x == y.
+    # Both sides read a table of the 512 basis products P(e_i, e_j, e_k),
+    # flattened to 64 i + 8 j + k. On basis vectors g(e_x, e_y) is x == y.
     basis = [Vector.basis(8, i) for i in range(8)]
-    ptab: dict[tuple[int, int, int], Vector] = {}
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                ptab[(i, j, k)] = cp.cross3(basis[i], basis[j], basis[k])
-    phi_tab = cp.phi_signed
-    zero = Vector.zero(8)
+    ptab = [
+        cp.cross3(basis[i], basis[j], basis[k]).nonzero()
+        for i in range(8) for j in range(8) for k in range(8)
+    ]
+
+    def p(s: int, x: int, y: int) -> tuple:
+        return ptab[64 * s + 8 * x + y]
+
+    units = [((i, 1),) for i in range(8)]
+    phi = cp.phi_signed.get
     for a in range(8):
         for b in range(8):
             for u in range(8):
@@ -253,47 +252,25 @@ def verify_composition_lemma() -> LemmaReport:
                     gbv = int(b == v)
                     for w in range(8):
                         report.cases += 1
-                        gaw = int(a == w)
-                        gbw = int(b == w)
-                        inner = ptab[(u, v, w)]
-                        lhs = zero
-                        for m, c in inner.nonzero():
-                            term = ptab[(a, b, m)]
-                            lhs = lhs + (term if c == 1 else term * c)
-                        acc = [0] * 8
-                        c1 = -(gau * gbv - gav * gbu) - phi_tab.get((a, b, u, v), 0)
-                        if c1:
-                            acc[w] += c1
-                        if gbw:
-                            for m, c in ptab[(a, u, v)].nonzero():
-                                acc[m] += gbw * c
-                        if gaw:
-                            for m, c in ptab[(b, u, v)].nonzero():
-                                acc[m] -= gaw * c
-                        c2 = -(gav * gbw - gaw * gbv) - phi_tab.get((a, b, v, w), 0)
-                        if c2:
-                            acc[u] += c2
-                        if gbu:
-                            for m, c in ptab[(a, v, w)].nonzero():
-                                acc[m] += gbu * c
-                        if gau:
-                            for m, c in ptab[(b, v, w)].nonzero():
-                                acc[m] -= gau * c
-                        c3 = -(gaw * gbu - gau * gbw) - phi_tab.get((a, b, w, u), 0)
-                        if c3:
-                            acc[v] += c3
-                        if gbv:
-                            for m, c in ptab[(a, w, u)].nonzero():
-                                acc[m] += gbv * c
-                        if gav:
-                            for m, c in ptab[(b, w, u)].nonzero():
-                                acc[m] -= gav * c
-                        if lhs.comps != tuple(acc):
+                        lhs = [0] * 8
+                        for m, c in ptab[64 * u + 8 * v + w]:
+                            for n, d in ptab[64 * a + 8 * b + m]:
+                                lhs[n] += c * d
+                        rhs = _composition_block(
+                            a, b, (u, v, w),
+                            (gau, gav, int(a == w)),
+                            (gbu, gbv, int(b == w)),
+                            (phi((a, b, u, v), 0), phi((a, b, v, w), 0),
+                             phi((a, b, w, u), 0)),
+                            (units[u], units[v], units[w]),
+                            p,
+                        )
+                        if lhs != rhs:
                             report.failures.append(
                                 {
                                     "inputs": f"(e{a}; e{b}; e{u}; e{v}; e{w})",
-                                    "lhs": str(lhs),
-                                    "rhs": str(Vector(acc)),
+                                    "lhs": str(Vector(lhs)),
+                                    "rhs": str(Vector(rhs)),
                                 }
                             )
     return report

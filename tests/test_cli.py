@@ -220,6 +220,14 @@ class TestOmega:
         path.write_text('[["0.5"]]')
         assert runner.invoke(main, ["omega", "--rho", str(path)]).exit_code == 2
 
+    def test_deeply_nested_file(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        result = runner.invoke(main, ["omega", "--rho", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: cannot read rho matrix:" in result.output
+
     def test_missing_file(self, runner):
         assert runner.invoke(main, ["omega", "--rho", "/nonexistent.json"]).exit_code == 2
 
@@ -252,4 +260,7 @@ class TestSymmetries:
             assert line == " ".join(words)
 
     def test_negative_limit(self, runner):
-        assert runner.invoke(main, ["symmetries", "--limit", "-1"]).exit_code == 2
+        result = runner.invoke(main, ["symmetries", "--limit", "-1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output

@@ -40,6 +40,31 @@ def oracle_p(i, j, k):
     return [oracle_phi(i, j, k, m) for m in range(8)]
 
 
+def oracle_rhs(a, b, u, v, w):
+    """The 12-term right side of the composition rule on basis indices,
+    spelled out term by term."""
+    d = lambda i, j: 1 if i == j else 0
+    rhs = [0] * 8
+
+    def add(scal, vec):
+        if scal:
+            for i in range(8):
+                rhs[i] += scal * vec[i]
+
+    gw = lambda x, y, s, t: d(x, s) * d(y, t) - d(x, t) * d(y, s)
+    ew = lambda idx: [d(idx, m) for m in range(8)]
+    add(-gw(a, b, u, v) - oracle_phi(a, b, u, v), ew(w))
+    add(d(b, w), oracle_p(a, u, v))
+    add(-d(a, w), oracle_p(b, u, v))
+    add(-gw(a, b, v, w) - oracle_phi(a, b, v, w), ew(u))
+    add(d(b, u), oracle_p(a, v, w))
+    add(-d(a, u), oracle_p(b, v, w))
+    add(-gw(a, b, w, u) - oracle_phi(a, b, w, u), ew(v))
+    add(d(b, v), oracle_p(a, w, u))
+    add(-d(a, v), oracle_p(b, w, u))
+    return rhs
+
+
 class TestCross3:
     def test_known_basis_products(self):
         cp = default_cross()
@@ -91,6 +116,12 @@ class TestCross3:
         triples = [tuple(vecs[3 * k: 3 * k + 3]) for k in range(8)]
         a, b = vecs[0], vecs[1]
         triples += [(a, a, b), (a, b, a), (a, b, b), (Vector.zero(8), a, b), (a, E[3], b)]
+        # single-entry arguments: scaled units with Fraction and negative
+        # coefficients, e_0 with each e_lam, and a repeated index
+        half = Fraction(1, 2)
+        triples += [(E[1] * half, E[2] * -3, E[4]), (E[5] * Fraction(-2, 3), E[6], E[7] * 7)]
+        triples += [(E[0], E[lam], E[(lam % 7) + 1]) for lam in range(1, 8)]
+        triples += [(E[2] * half, E[3], E[2] * -1), (E[4], E[4], E[0])]
         return triples
 
     @staticmethod
@@ -152,7 +183,6 @@ class TestCompositionRule:
         # independent direct expansion of the 12-term right side
         cp = default_cross()
         rng = random.Random(6)
-        d = lambda i, j: 1 if i == j else 0
         for _ in range(200):
             a, b, u, v, w = (rng.randrange(8) for _ in range(5))
             inner = oracle_p(u, v, w)
@@ -161,28 +191,35 @@ class TestCompositionRule:
                 if c:
                     for n, c2 in enumerate(oracle_p(a, b, m)):
                         lhs[n] += c * c2
-            rhs = [0] * 8
-            def add(scal, vec):
-                if scal:
-                    for i in range(8):
-                        rhs[i] += scal * vec[i]
-            gw = lambda x, y, s, t: d(x, s) * d(y, t) - d(x, t) * d(y, s)
-            ew = lambda idx: [d(idx, m) for m in range(8)]
-            add(-gw(a, b, u, v) - oracle_phi(a, b, u, v), ew(w))
-            add(d(b, w), oracle_p(a, u, v))
-            add(-d(a, w), oracle_p(b, u, v))
-            add(-gw(a, b, v, w) - oracle_phi(a, b, v, w), ew(u))
-            add(d(b, u), oracle_p(a, v, w))
-            add(-d(a, u), oracle_p(b, v, w))
-            add(-gw(a, b, w, u) - oracle_phi(a, b, w, u), ew(v))
-            add(d(b, v), oracle_p(a, w, u))
-            add(-d(a, v), oracle_p(b, w, u))
+            rhs = oracle_rhs(a, b, u, v, w)
             assert lhs == rhs  # the rule itself, via the oracle alone
             got_lhs, got_rhs = cp.composition_sides(
                 E[a], E[b], E[u], E[v], E[w]
             )
             assert list(got_lhs) == lhs
             assert list(got_rhs) == rhs
+
+    def test_dense_rhs_against_oracle(self):
+        # rational 5-tuples with two entries per argument: the expected right
+        # side is the oracle expanded multilinearly over the 32 basis tuples
+        cp = default_cross()
+        rng = random.Random(10)
+        for _ in range(20):
+            args = []
+            for _ in range(5):
+                idx = rng.sample(range(8), 2)
+                coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                          for _ in idx]
+                args.append(list(zip(idx, coeffs)))
+            expected = [0] * 8
+            for choice in product(*args):
+                weight = 1
+                for _, c in choice:
+                    weight *= c
+                for n, c in enumerate(oracle_rhs(*(i for i, _ in choice))):
+                    expected[n] += weight * c
+            vecs = [Vector(dict(arg).get(m, 0) for m in range(8)) for arg in args]
+            assert list(cp.composition_rhs(*vecs)) == expected
 
     def test_sample_scope(self):
         # dense rational 5-tuples, where the basis sweep's shortcuts do not apply
@@ -221,7 +258,8 @@ class TestNegativeControls:
         assert report.cases == 32768
         assert len(report.failures) == 2592
         assert report.failures[0]["inputs"] == "(e0; e1; e0; e4; e6)"
-        # the sweep's inlined right side agrees with composition_sides: on
+        # the sweep's sides, read from its table of basis products, agree
+        # with composition_sides on the dense route (cross3 on vectors): on
         # every failure record, and on a seeded sample of the passing tuples
         cp = spin7.cross.default_cross()
         failed = set()
