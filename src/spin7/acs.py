@@ -254,13 +254,26 @@ def rotated_acs_family(r: Matrix) -> list[Matrix]:
 
 
 @cache
-def _permuted_terms(sigma: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The sign of the permutation sigma, and phi(e_sigma(key)) for each term
-    key of the Cayley form in term order: the parts of a signed permutation
-    frame's checks that do not depend on its signs."""
+def _permuted_terms(sigma: tuple[int, ...]) -> tuple[int, int | None]:
+    """The sign of the permutation sigma, and the flip mask that the signs of
+    a frame f_i = eps_i e_sigma(i) must have: bit t is set when term t of the
+    Cayley form, c e^key, has phi(e_sigma(key)) = -c. None when some
+    phi(e_sigma(key)) is not +/-c, so that no signs preserve the form."""
     cp = default_cross()
-    images = tuple(cp.phi_signed.get(tuple(sigma[t] for t in key), 0) for key in cp.phi.terms)
-    return sort_with_sign(sigma)[1], images
+    pairs = [(cp.phi_signed.get(tuple(sigma[i] for i in key), 0), c)
+             for key, c in cp.phi.terms.items()]
+    mask = sum(1 << t for t, (image, c) in enumerate(pairs) if image == -c)
+    return sort_with_sign(sigma)[1], (
+        mask if all(image in (c, -c) for image, c in pairs) else None)
+
+
+@cache
+def _sign_flips(eps: tuple[int, ...]) -> tuple[int, int]:
+    """prod(eps), and the mask whose bit t is set when the product of eps
+    over the t-th term key of the Cayley form is -1."""
+    keys = default_cross().phi.terms
+    return prod(eps), sum(1 << t for t, key in enumerate(keys)
+                          if prod(eps[i] for i in key) < 0)
 
 
 def check_frame(r: Matrix) -> None:
@@ -268,25 +281,27 @@ def check_frame(r: Matrix) -> None:
     Cayley form exactly, and has determinant +1.
 
     The route is chosen by type. A :class:`SignedPermutation` R, f_i = eps_i
-    e_sigma(i), is checked on its carried labels: it is orthogonal, has
-    determinant sign(sigma) * prod(eps) and maps term key to eps(key) *
-    phi(e_sigma(key)); sign(sigma) and the 14 values phi(e_sigma(key)) are
-    read once per permutation from a cache, and the orientation and 14-term
-    form checks run on every call, independently of the symmetry search's
-    sign table. Any other matrix, including a plain ``Matrix`` with signed
-    permutation entries, is checked densely.
+    e_sigma(i), is checked on its labels and never builds its rows: it is
+    orthogonal, has determinant sign(sigma) * prod(eps), and preserves the
+    form exactly when the product of eps over each term key is -1 on the
+    terms that sigma negates and +1 on the rest. The orientation check and
+    the 14 term checks compare cached per-sigma values
+    (:func:`_permuted_terms`) with cached per-eps values
+    (:func:`_sign_flips`) on every call, independently of the symmetry
+    search's sign table. Any other matrix, including a plain ``Matrix``
+    with signed permutation entries, is checked densely.
     """
     cp = default_cross()
-    if r.nrows != 8 or r.ncols != 8:
+    labelled = isinstance(r, SignedPermutation)
+    if ((len(r.sigma),) * 2 if labelled else (r.nrows, r.ncols)) != (8, 8):
         raise FrameNotAdmissible("frame matrix must be 8x8")
-    if isinstance(r, SignedPermutation):
-        sigma, eps = zip(*r.cols)
-        sgn_sigma, images = _permuted_terms(sigma)
-        if sgn_sigma * prod(eps) != 1:
+    if labelled:
+        sgn_sigma, needed = _permuted_terms(r.sigma)
+        sgn_eps, flips = _sign_flips(r.eps)
+        if sgn_sigma * sgn_eps != 1:
             raise FrameNotAdmissible("frame matrix must preserve orientation (det = +1)")
-        for ((a, b, c, d), coeff), image in zip(cp.phi.terms.items(), images):
-            if eps[a] * eps[b] * eps[c] * eps[d] * image != coeff:
-                raise FrameNotAdmissible("frame matrix does not preserve the form")
+        if flips != needed:
+            raise FrameNotAdmissible("frame matrix does not preserve the form")
         return
     if r.transpose() @ r != Matrix.identity(8):
         raise FrameNotAdmissible("frame matrix is not orthogonal")
@@ -362,7 +377,8 @@ def span_stability(r: Matrix) -> bool:
     not a :class:`SignedPermutation` takes the dense route: build the
     rotated family J'_1..J'_7 as matrices, test each for membership in
     span{J} and require rank 7. A :class:`SignedPermutation` R, f_i = eps_i
-    e_sigma(i), takes the label route on its ``cols``.
+    e_sigma(i), takes the label route on its ``sigma`` and never builds its
+    rows.
     P is trilinear, so J'_lam e_sigma(i) = eps_i P(f_0, f_lam, f_i) =
     eps_0 eps_lam P(e_sigma(0), e_sigma(lam), e_sigma(i)), and the pair
     f_0 -> f_lam, f_lam -> -f_0 carries the same factor: J'_lam =
@@ -381,5 +397,5 @@ def span_stability(r: Matrix) -> bool:
     """
     check_frame(r)
     if isinstance(r, SignedPermutation):
-        return _span_stable_sigma(tuple(row for row, _ in r.cols))
+        return _span_stable_sigma(r.sigma)
     return _span_stable_dense(r)

@@ -18,7 +18,7 @@ from functools import cache
 from math import lcm
 
 from .forms import AltForm, cayley_form, signed_coefficients
-from .linalg import Vector, gram_det
+from .linalg import Vector
 
 
 class InputNotInE0Perp(ValueError):
@@ -80,12 +80,20 @@ class CrossProduct:
     def cross3(self, a: Vector, b: Vector, c: Vector) -> Vector:
         """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i.
 
-        Every input runs one integer kernel: each argument's denominators
-        are cleared once, the products accumulate in Python ints over the
-        signed table (i, j, k) -> ((m, c), ...), and the sum is divided
-        once at the end.
+        Every input runs one integer kernel (:meth:`_cross3_ints`) and is
+        divided once at the end.
         """
-        (da, na), (db, nb), (dc, nc) = (_cleared(t.nonzero()) for t in (a, b, c))
+        _, acc, den = self._cross3_ints(a, b, c)
+        return Vector(acc if den == 1 else [Fraction(t, den) for t in acc])
+
+    def _cross3_ints(self, a: Vector, b: Vector, c: Vector) -> tuple[list, list[int], int]:
+        """(cleared, q, D) with P(a, b, c) = q / D: each argument's
+        denominators are cleared once, as (d, [(k, d x_k), ...]) in
+        ``cleared``, the products accumulate in Python ints over the signed
+        table (i, j, k) -> ((m, c), ...), and D is the product of the three
+        d and ``_scale``."""
+        cleared = [_cleared(t.nonzero()) for t in (a, b, c)]
+        (da, na), (db, nb), (dc, nc) = cleared
         tab = self._triples
         acc = [0] * 8
         for i, x in na:
@@ -99,18 +107,27 @@ class CrossProduct:
                         w = xy * z
                         for m, co in hit:
                             acc[m] += w * co
-        den = da * db * dc * self._scale
-        return Vector(acc if den == 1 else [Fraction(t, den) for t in acc])
+        return cleared, acc, da * db * dc * self._scale
 
     def check_compatibility(self, a: Vector, b: Vector, c: Vector) -> CompatibilityReport:
-        """Residuals of orthogonality to each argument and of the norm identity.
+        """Residuals of orthogonality to each argument and of the norm identity,
+        (g(p, a), g(p, b), g(p, c)) and |p|^2 - det Gram(a, b, c) for p =
+        P(a, b, c). All residuals are exactly zero for a compatible product.
 
-        All residuals are exactly zero for a compatible product.
+        They are computed in integers: with a = A / da, ... and p = q / D from
+        the cross3 kernel, the pairings q.A and q.q and the Gram determinant
+        of A, B and C are integer sums, and each residual is one Fraction.
         """
-        p = self.cross3(a, b, c)
+        cleared, q, den = self._cross3_ints(a, b, c)
+        vecs = [dict(entries) for _, entries in cleared]
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (
+            [sum(x * v.get(k, 0) for k, x in u.items()) for v in vecs] for u in vecs)
+        gram = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+                + g02 * (g01 * g12 - g11 * g02))
         return CompatibilityReport(
-            orthogonality=(p.dot(a), p.dot(b), p.dot(c)),
-            norm_residual=p.dot(p) - gram_det([a, b, c]),
+            orthogonality=tuple(Fraction(sum(q[k] * x for k, x in entries), den * d)
+                                for d, entries in cleared),
+            norm_residual=Fraction(sum(t * t for t in q) - gram * self._scale ** 2, den * den),
         )
 
     def cross2(self, u: Vector, v: Vector) -> Vector:

@@ -273,15 +273,16 @@ class Matrix:
         if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
             raise ValueError("matrix JSON must be an array of arrays")
         rows = []
-        for r in obj:
+        for i, r in enumerate(obj):
             row = []
-            for c in r:
+            for j, c in enumerate(r):
                 if isinstance(c, str):
                     row.append(parse_rational(c))
                 elif isinstance(c, int) and not isinstance(c, bool):
                     row.append(Fraction(c))
                 else:
-                    raise ValueError(f"matrix entries must be rational strings, got {c!r}")
+                    raise ValueError(f"matrix entry ({i}, {j}) must be a rational string,"
+                                     f" got {type(c).__name__}")
             rows.append(row)
         m = cls(rows)
         if shape is not None and (m.nrows, m.ncols) != shape:
@@ -300,26 +301,42 @@ def _unit_rows(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
 
 
 class SignedPermutation(Matrix):
-    """The signed permutation matrix with column i equal to eps_i e_sigma(i).
+    """The signed permutation matrix with column i equal to eps[i] e_sigma[i].
 
-    ``cols`` holds the pairs (sigma(i), eps_i). The rows are shared unit-row
-    tuples, so the matrix equals, hashes and serializes exactly like the
-    ``Matrix`` with the same entries, while callers read the labels directly.
+    The labels ``sigma`` and ``eps`` are tuples that callers may share, and
+    ``cols`` pairs them as (sigma(i), eps_i). Every construction checks them.
+    The rows are shared unit-row tuples built on first read, so the matrix
+    equals, hashes and serializes like the ``Matrix`` with the same entries,
+    while callers that read only the labels never build them.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("sigma", "eps", "_rows")
 
-    def __init__(self, cols: Iterable[tuple[int, int]]):
-        self.cols = tuple(cols)
-        n = len(self.cols)
-        units = _unit_rows(n)
-        rows: list[tuple[int, ...] | None] = [None] * n
-        for j, (i, s) in enumerate(self.cols):
-            unit = units.get((j, s))
-            if unit is None or not 0 <= i < n or rows[i] is not None:
-                raise ValueError("columns must be distinct signed units")
-            rows[i] = unit
-        self.rows = tuple(rows)
+    def __init__(self, sigma: Iterable[int], eps: Iterable[int]):
+        self.sigma, self.eps = tuple(sigma), tuple(eps)
+        if not (len(self.eps) == len(self.sigma) and _is_permutation(self.sigma)
+                and _is_signs(self.eps)):
+            raise ValueError("columns must be distinct signed units")
+        self._rows = None
+
+    @property
+    def cols(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.sigma, self.eps))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            units = _unit_rows(len(self.sigma))
+            rows: list = [None] * len(self.sigma)
+            for j, (i, s) in enumerate(zip(self.sigma, self.eps)):
+                rows[i] = units[(j, s)]
+            self._rows = tuple(rows)
+        return self._rows
+
+
+# the label checks, memoized per sigma and per eps
+_is_permutation = cache(lambda sigma: sorted(sigma) == list(range(len(sigma))))
+_is_signs = cache(lambda eps: all(e == 1 or e == -1 for e in eps))
 
 
 RowLike = Union[Vector, Sequence[Scalarish]]

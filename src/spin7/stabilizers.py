@@ -376,15 +376,11 @@ def _sign_vectors(sigma: tuple[int, ...]) -> list[int]:
     """The sign bitmasks x (eps_i = (-1)^x_i) for which f_i = eps_i e_sigma(i)
     preserves the form, in ascending order: none unless sigma maps each term
     set onto a term set, and otherwise the product of eps over each term key
-    must have the sign of c * phi(e_sigma(key)), so the terms to flip are
-    read from the cached :func:`acs._permuted_terms` and looked up in
+    must have the sign of c * phi(e_sigma(key)), so the flip mask is read
+    from the cached :func:`acs._permuted_terms` and looked up in
     :func:`_sign_classes`."""
-    images = _permuted_terms(sigma)[1]
-    if 0 in images:
-        return []
-    flips = sum(1 << r for r, (c, image) in enumerate(zip(cayley_form().terms.values(), images))
-                if c * image < 0)
-    return _sign_classes().get(flips, [])
+    flips = _permuted_terms(sigma)[1]
+    return [] if flips is None else _sign_classes().get(flips, [])
 
 
 def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
@@ -398,8 +394,10 @@ def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
     (:func:`acs._permuted_terms`). Output order is deterministic
     (permutations in lexical order, then sign bitmasks in ascending order);
     ``limit`` stops the search once that many symmetries are found, and a
-    negative ``limit`` raises ``ValueError``. Each symmetry carries its
-    column labels (sigma(i), eps_i) as ``cols``.
+    negative ``limit`` raises ``ValueError``. Each symmetry is a
+    :class:`SignedPermutation` on its labels: the 16 symmetries of one sigma
+    share its tuple, and eps comes from a shared table of the 256 sign
+    vectors, so no rows are built.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -412,7 +410,7 @@ def signed_perm_symmetries(limit: int | None = None) -> list[SignedPermutation]:
         for bits in _sign_vectors(sigma):
             if sgn_sigma * (-1) ** bits.bit_count() != 1:
                 continue
-            results.append(SignedPermutation(zip(sigma, signs[bits])))
+            results.append(SignedPermutation(sigma, signs[bits]))
             if limit is not None and len(results) >= limit:
                 return results
     return results

@@ -259,8 +259,7 @@ class TestSpanStabilityRoutes:
                 assert span_stability(r) is verdict
                 assert acs._span_stable_dense(r) is verdict
             for bits in range(256):
-                r = SignedPermutation((s, -1 if bits >> i & 1 else 1)
-                                      for i, s in enumerate(sigma))
+                r = SignedPermutation(sigma, (-1 if bits >> i & 1 else 1 for i in range(8)))
                 assert acs._span_stable_dense(r) is verdict
 
     def test_cayley_transform_frame_takes_dense_route(self):
@@ -347,7 +346,7 @@ class TestCheckFrameSignedPermutations:
             for bits in range(256):
                 eps = tuple(-1 if bits >> i & 1 else 1 for i in range(8))
                 try:
-                    check_frame(SignedPermutation(zip(sigma, eps)))
+                    check_frame(SignedPermutation(sigma, eps))
                 except FrameNotAdmissible as exc:
                     # orientation is checked first, from the parity of sigma
                     assert ("orientation" in str(exc)) is (parity * prod(eps) == -1)
@@ -376,24 +375,35 @@ class TestCarriedLabels:
         assert first == syms[:5]
         assert [r.to_json_obj() for r in first] == [Matrix(r.rows).to_json_obj() for r in first]
 
+    def test_label_route_builds_no_rows(self):
+        # check_frame and span_stability read sigma and eps only; the rows
+        # of a symmetry are built on first read, for ==, hash, JSON and the CLI
+        syms = signed_perm_symmetries()
+        assert len(syms) == 21504
+        assert all(span_stability(r) for r in syms)
+        assert [k for k, r in enumerate(syms) if r._rows is not None] == []
+        assert syms[0].rows == I8.rows and syms[0]._rows is not None
+
     def test_check_frame_checks_carried_labels(self):
         cols = list(signed_perm_symmetries(limit=8)[7].cols)
+        sigma = [s for s, _ in cols]
         # two flipped signs keep det = +1, so the form check must reject
-        two = [(s, -e) if i in (2, 5) else (s, e) for i, (s, e) in enumerate(cols)]
+        two = [-e if i in (2, 5) else e for i, (_, e) in enumerate(cols)]
         with pytest.raises(FrameNotAdmissible, match="does not preserve the form"):
-            check_frame(SignedPermutation(two))
+            check_frame(SignedPermutation(sigma, two))
         # one flipped sign gives det = -1
-        one = [(s, -e) if i == 2 else (s, e) for i, (s, e) in enumerate(cols)]
+        one = [-e if i == 2 else e for i, (_, e) in enumerate(cols)]
         with pytest.raises(FrameNotAdmissible, match="orientation"):
-            check_frame(SignedPermutation(one))
-        r = SignedPermutation(cols)
+            check_frame(SignedPermutation(sigma, one))
+        r = SignedPermutation(sigma, (e for _, e in cols))
         assert check_frame(r) is None and r.cols == tuple(cols)
 
     def test_rejects_malformed_labels(self):
-        for cols in ([(0, 1)] * 8, [(i, 2) for i in range(8)],
-                     [(i - 1, 1) for i in range(8)], [(i + 1, 1) for i in range(8)]):
+        for sigma, eps in (([0] * 8, [1] * 8), (range(8), [2] * 8),
+                           (range(-1, 7), [1] * 8), (range(1, 9), [1] * 8),
+                           (range(8), [1] * 7)):
             with pytest.raises(ValueError):
-                SignedPermutation(cols)
+                SignedPermutation(sigma, eps)
 
 
 class TestInducedProductIdentity:

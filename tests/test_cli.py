@@ -228,6 +228,15 @@ class TestOmega:
         assert isinstance(result.exception, SystemExit)
         assert "Error: cannot read rho matrix:" in result.output
 
+    def test_nested_entry_is_named_not_echoed(self, runner, tmp_path):
+        path = tmp_path / "deep900.json"
+        path.write_text("[" * 900 + "]" * 900)
+        result = runner.invoke(main, ["omega", "--rho", str(path)])
+        assert result.exit_code == 2
+        line = next(x for x in result.output.splitlines() if x.startswith("Error:"))
+        assert len(line) < 200
+        assert "entry (0, 0)" in line and "list" in line
+
     def test_missing_file(self, runner):
         assert runner.invoke(main, ["omega", "--rho", "/nonexistent.json"]).exit_code == 2
 

@@ -170,6 +170,35 @@ class TestCompatibility:
         assert report.cases == 8 ** 3 + 100
         assert report.failures == []
 
+    def test_integer_residuals_match_fraction_route(self, monkeypatch):
+        # the 612 triples of the sweep, on phi and on two forms that are not
+        # compatible: one coefficient doubled, and fractional coefficients
+        cp = default_cross()
+        seen = []
+        check = cp.check_compatibility
+        monkeypatch.setattr(cp, "check_compatibility",
+                            lambda a, b, c: seen.append((a, b, c)) or check(a, b, c))
+        verify_compatibility()
+        monkeypatch.undo()
+        assert len(seen) == 612
+        doubled = dict(ORACLE_TERMS)
+        doubled[(0, 1, 4, 5)] = 2
+        fractional = dict(ORACLE_TERMS)
+        fractional[(0, 2, 4, 6)] = Fraction(2, 3)
+        fractional[(1, 3, 5, 7)] = Fraction(-5, 7)
+        nonzero = []
+        for form_cp in (cp, CrossProduct(AltForm(4, doubled)),
+                        CrossProduct(AltForm(4, fractional))):
+            bad = 0
+            for a, b, c in seen:
+                p = form_cp.cross3(a, b, c)
+                rep = form_cp.check_compatibility(a, b, c)
+                assert rep.orthogonality == (p.dot(a), p.dot(b), p.dot(c))
+                assert rep.norm_residual == p.dot(p) - gram_det([a, b, c])
+                bad += not rep.ok
+            nonzero.append(bad)
+        assert nonzero[0] == 0 and nonzero[1] > 0 and nonzero[2] > 0
+
 
 class TestCompositionRule:
     def test_degenerate_tuples_vanish(self):
