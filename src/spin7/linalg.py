@@ -5,15 +5,17 @@ there is no floating point anywhere in this package. Vectors and matrices
 are immutable and all operations are pure functions, so everything here is
 safe to share across threads.
 
-Rank and kernel computations use Gaussian elimination with first-nonzero
-pivoting and lowest-row-index tie-breaking, which makes every output basis
-deterministic. Rank-only queries run fraction-free over integers after
-clearing denominators.
+Every elimination (rank, span membership, reduced echelon form and kernel
+bases, determinants, inverses) runs fraction-free over the integers after
+clearing denominators, through one step, ``_eliminate``. Reduced echelon
+forms, determinants and inverses are unique, so every output basis is
+deterministic.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -35,11 +37,16 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
-        raise ValueError(f"malformed rational literal: {text!r}")
+        raise ValueError(f"malformed rational literal: {_excerpt(text)}")
     den = m.group(2)
     if den is not None and int(den) == 0:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
+        raise ValueError(f"zero denominator in rational literal: {_excerpt(text)}")
     return Fraction(int(m.group(1)), 1 if den is None else int(den))
+
+
+def _excerpt(text: str, limit: int = 40) -> str:
+    """``repr`` of the text, cut to ``limit`` characters so errors stay short."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} chars)"
 
 
 def _exact(c: Scalarish) -> Scalarish:
@@ -244,23 +251,15 @@ class Matrix:
         return (self @ other) - (other @ self)
 
     def inverse(self) -> "Matrix":
+        """The inverse, read off the reduced echelon form of ``[self | I]``."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [[Fraction(c) for c in row] + [F1 if i == j else F0 for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return Matrix(row[n:] for row in aug)
+        aug = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self.rows)]
+        reduced, pivots = rref(aug, 2 * n)
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(row[n:] for row in reduced)
 
     def __repr__(self) -> str:
         return f"Matrix({[[str(c) for c in r] for r in self.rows]})"
@@ -277,7 +276,10 @@ class Matrix:
             row = []
             for j, c in enumerate(r):
                 if isinstance(c, str):
-                    row.append(parse_rational(c))
+                    try:
+                        row.append(parse_rational(c))
+                    except ValueError as exc:
+                        raise ValueError(f"matrix entry ({i}, {j}): {exc}") from exc
                 elif isinstance(c, int) and not isinstance(c, bool):
                     row.append(Fraction(c))
                 else:
@@ -342,34 +344,102 @@ _is_signs = cache(lambda eps: all(e == 1 or e == -1 for e in eps))
 RowLike = Union[Vector, Sequence[Scalarish]]
 
 
-def _row_fractions(row: RowLike) -> list[Fraction]:
+def _integer_row(row: RowLike) -> tuple[list[int], int, int]:
+    """The row as coprime integers ``ints``, with ``ints = row * num / den``."""
     comps = row.comps if isinstance(row, Vector) else row
-    return [c if isinstance(c, Fraction) else Fraction(c) for c in comps]
+    num = lcm(*(c.denominator for c in comps))
+    ints = [c.numerator * (num // c.denominator) for c in comps]
+    den = gcd(*ints)
+    if den > 1:
+        ints = [x // den for x in ints]
+    return ints, num, den
+
+
+def _eliminate(
+    row: list[int], echelon: Sequence[tuple[int, list[int]]]
+) -> tuple[list[int], int, int]:
+    """The module's one elimination step, fraction-free over the integers.
+
+    Clears ``row`` at each echelon row's pivot as ``(pv*row - rv*er) / gcd``
+    (Bareiss), and returns it with ``s`` and ``t`` such that it equals
+    ``(s/t) * row`` plus a combination of the echelon rows.
+    """
+    s = t = 1
+    for pivot, er in echelon:
+        rv = row[pivot]
+        if rv:
+            pv = er[pivot]
+            row = [pv * a - rv * b for a, b in zip(row, er)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            s *= pv
+            t *= g
+    return row, s, t
+
+
+class RowSpan:
+    """Incrementally echelonized row span, fraction-free over the integers.
+
+    Supports fast exact membership tests; used for rank, span equality,
+    repeated span-containment queries, ``det`` and ``rref``.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[RowLike] = ()):
+        # (pivot column, coprime row with a positive pivot entry), by pivot
+        self._rows: list[tuple[int, list[int]]] = []
+        for r in rows:
+            self.add(r)
+
+    def _insert(self, row: RowLike) -> tuple[int, int] | None:
+        """Echelonize ``row`` into the span; None when the span held it already.
+
+        Otherwise ``(p, q)``: the determinant of n rows of length n is the
+        product of the fractions ``p/q`` of their n insertions, in order.
+        """
+        ints, num, den = _integer_row(row)
+        reduced, s, t = _eliminate(ints, self._rows)
+        pivot = next((i for i, x in enumerate(reduced) if x), None)
+        if pivot is None:
+            return None
+        lead = reduced[pivot]
+        if lead < 0:
+            reduced = [-x for x in reduced]
+        pos = bisect(self._rows, pivot, key=lambda pr: pr[0])
+        self._rows.insert(pos, (pivot, reduced))
+        # moving the new row above the rows with later pivots is one swap each
+        if (len(self._rows) - 1 - pos) % 2:
+            lead = -lead
+        return lead * t * den, s * num
+
+    def add(self, row: RowLike) -> bool:
+        """Insert a row; returns True when it enlarged the span."""
+        return self._insert(row) is not None
+
+    def contains(self, row: RowLike) -> bool:
+        return not any(_eliminate(_integer_row(row)[0], self._rows)[0])
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
 
 
 def det(rows: Union[Matrix, Sequence[RowLike]]) -> Fraction:
-    """Exact determinant via Gaussian elimination."""
-    mat = [_row_fractions(r) for r in (rows.rows if isinstance(rows, Matrix) else rows)]
+    """Exact determinant, from the row insertions into a ``RowSpan``."""
+    mat = rows.rows if isinstance(rows, Matrix) else rows
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col]), None)
-        if piv is None:
+    span = RowSpan()
+    p = q = 1
+    for r in mat:
+        pq = span._insert(r)
+        if pq is None:
             return F0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        pv = mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col]:
-                f = mat[i][col] / pv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= mat[i][i]
-    return result
+        p, q = p * pq[0], q * pq[1]
+    return Fraction(p, q)
 
 
 def gram_det(vectors: Sequence[Vector]) -> Fraction:
@@ -381,28 +451,18 @@ def gram_det(vectors: Sequence[Vector]) -> Fraction:
 
 def rref(rows: Sequence[RowLike], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [_row_fractions(r) for r in rows]
-    for r in mat:
+    span = RowSpan()
+    for r in rows:
         if len(r) != ncols:
             raise ValueError("rows must all have the stated length")
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        span._insert(r)
+    echelon = span._rows
+    # clear each echelon row at the later pivots, from the last row up
+    for k in range(len(echelon) - 1, -1, -1):
+        pivot, row = echelon[k]
+        echelon[k] = (pivot, _eliminate(row, echelon[k + 1:])[0])
+    reduced = [[Fraction(x, row[p]) if x else F0 for x in row] for p, row in echelon]
+    return reduced, [p for p, _ in echelon]
 
 
 def kernel_basis(rows: Sequence[RowLike], ncols: int | None = None) -> list[Vector]:
@@ -429,69 +489,6 @@ def kernel_basis(rows: Sequence[RowLike], ncols: int | None = None) -> list[Vect
             comps[p] = -reduced[k][f]
         basis.append(Vector(comps))
     return basis
-
-
-def _integer_row(row: RowLike) -> list[int]:
-    comps = row.comps if isinstance(row, Vector) else row
-    scale = 1
-    for c in comps:
-        d = c.denominator
-        if d != 1:
-            scale = lcm(scale, d)
-    ints = [int(c * scale) for c in comps] if scale != 1 else [int(c) for c in comps]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-class RowSpan:
-    """Incrementally echelonized row span, fraction-free over the integers.
-
-    Supports fast exact membership tests; used for rank, span equality and
-    repeated span-containment queries.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[RowLike] = ()):
-        self._rows: list[tuple[int, list[int]]] = []
-        for r in rows:
-            self.add(r)
-
-    def _reduce(self, row: list[int]) -> list[int]:
-        for pivot, er in self._rows:
-            if row[pivot]:
-                pv = er[pivot]
-                rv = row[pivot]
-                row = [pv * a - rv * b for a, b in zip(row, er)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    row = [x // g for x in row]
-        return row
-
-    def add(self, row: RowLike) -> bool:
-        """Insert a row; returns True when it enlarged the span."""
-        reduced = self._reduce(_integer_row(row))
-        pivot = next((i for i, x in enumerate(reduced) if x), None)
-        if pivot is None:
-            return False
-        if reduced[pivot] < 0:
-            reduced = [-x for x in reduced]
-        self._rows.append((pivot, reduced))
-        self._rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def contains(self, row: RowLike) -> bool:
-        return not any(self._reduce(_integer_row(row)))
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
 
 
 def rank(rows: Iterable[RowLike]) -> int:

@@ -99,7 +99,7 @@ class LieSubalgebra:
             if b.nrows != self.ambient_dim or not b.is_antisymmetric():
                 raise ValueError(f"{self.name}: basis element not antisymmetric "
                                  f"{self.ambient_dim}x{self.ambient_dim}")
-        if rank(b.flatten() for b in self.basis) != len(self.basis):
+        if self._span.dim != len(self.basis):
             raise ValueError(f"{self.name}: basis is linearly dependent")
 
     @property

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -180,6 +181,18 @@ class TestStab:
         assert len(basis) == 14
         assert len(basis[0]) == 7 and len(basis[0][0]) == 7
 
+    @pytest.mark.parametrize(
+        "group,digest",
+        [
+            ("spin7", "439b9290dde2a7de1f5de1629ada09fa9af511dea059dc50b2bfed34bdbbde14"),
+            ("g2", "a435c69c053ad180ceebb4d997f077c146375e7abe10be78af3474e2681d10d2"),
+        ],
+    )
+    def test_print_basis_is_pinned(self, runner, group, digest):
+        result = runner.invoke(main, ["stab", "--group", group, "--print-basis"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
     def test_requires_group(self, runner):
         assert runner.invoke(main, ["stab"]).exit_code == 2
 
@@ -236,6 +249,19 @@ class TestOmega:
         line = next(x for x in result.output.splitlines() if x.startswith("Error:"))
         assert len(line) < 200
         assert "entry (0, 0)" in line and "list" in line
+
+    def test_long_literal_is_named_not_echoed(self, runner, tmp_path):
+        rows = [["0"] * 8 for _ in range(8)]
+        rows[0][0] = "1.5" + "0" * 5000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(rows))
+        result = runner.invoke(main, ["omega", "--rho", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert len(result.stderr.encode()) < 300
+        line = next(x for x in result.stderr.splitlines() if x.startswith("Error:"))
+        assert "entry (0, 0)" in line and "malformed rational literal" in line
 
     def test_missing_file(self, runner):
         assert runner.invoke(main, ["omega", "--rho", "/nonexistent.json"]).exit_code == 2

@@ -17,6 +17,7 @@ from spin7.linalg import (
     parse_rational,
     parse_vector,
     rank,
+    rref,
     span_contains,
     subspace_equal,
 )
@@ -97,6 +98,38 @@ class TestVectorMatrix:
             Matrix.from_json_obj([["1"]], shape=(8, 8))
 
 
+def _rational_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
+    """Seeded rational rows, about a third of the entries zero."""
+    return [
+        [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def _degenerate(rng: random.Random, nrows: int, ncols: int) -> list[list[list[Fraction]]]:
+    """Inputs with a zero row, a duplicated row, a negative leading entry, and all zeros."""
+    base = _rational_rows(rng, nrows, ncols)
+    zero_row = [list(r) for r in base]
+    zero_row[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    duplicate = [list(r) for r in base]
+    if nrows > 1:
+        duplicate[-1] = list(duplicate[0])
+    negative = [list(r) for r in base]
+    negative[0][0] = -abs(negative[0][0]) or Fraction(-3, 2)
+    return [base, zero_row, duplicate, negative, [[Fraction(0)] * ncols for _ in range(nrows)]]
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
+
+
+def _from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
 class TestDet:
     def test_known_values(self):
         assert det([[1, 2], [3, 4]]) == -2
@@ -105,6 +138,38 @@ class TestDet:
 
     def test_singular(self):
         assert det([[1, 2], [2, 4]]) == 0
+
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="non-square"):
+            det([[1, 2]])
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for n in range(1, 9):
+            for rows in _degenerate(rng, n, n) + [_rational_rows(rng, n, n) for _ in range(3)]:
+                ours = det(rows)
+                assert type(ours) is Fraction
+                assert ours == _from_sympy(_to_sympy(sympy, rows).det())
+                assert det(Matrix(rows)) == ours
+
+    def test_inverse_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(19)
+        singular = 0
+        for n in range(1, 7):
+            for rows in _degenerate(rng, n, n) + [_rational_rows(rng, n, n) for _ in range(3)]:
+                theirs = _to_sympy(sympy, rows)
+                if theirs.det() == 0:
+                    singular += 1
+                    with pytest.raises(ValueError, match="matrix is singular"):
+                        Matrix(rows).inverse()
+                    continue
+                inv = Matrix(rows).inverse()
+                assert inv.rows == tuple(
+                    tuple(_from_sympy(x) for x in theirs.inv().row(i)) for i in range(n)
+                )
+        assert singular >= 12
 
 
 class TestGramDet:
@@ -166,6 +231,21 @@ class TestKernel:
             ours = len(kernel_basis([Vector(r) for r in rows], 5))
             theirs = len(sympy.Matrix(rows).nullspace())
             assert ours == theirs
+        # exact oracle on rational rows: reduced rows, pivots and kernel vectors
+        rng = random.Random(23)
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+            for rows in _degenerate(rng, nrows, ncols):
+                theirs, their_pivots = _to_sympy(sympy, rows).rref()
+                reduced, pivots = rref(rows, ncols)
+                assert pivots == list(their_pivots)
+                assert reduced == [
+                    [_from_sympy(x) for x in theirs.row(i)] for i in range(len(pivots))
+                ]
+                basis = kernel_basis([Vector(r) for r in rows], ncols)
+                assert basis == [
+                    Vector(_from_sympy(x) for x in v) for v in _to_sympy(sympy, rows).nullspace()
+                ]
 
     def test_permuted_rows_same_span(self):
         rows = [Vector([1, 2, 3, 4]), Vector([0, 1, 0, 1]), Vector([1, 1, 1, 1])]
