@@ -44,9 +44,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), 1 if den is None else int(den))
 
 
-def _excerpt(text: str, limit: int = 40) -> str:
-    """``repr`` of the text, cut to ``limit`` characters so errors stay short."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} chars)"
+def _excerpt(text: str) -> str:
+    """``repr`` of the text, cut to 40 characters so errors stay short."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
 
 
 def _exact(c: Scalarish) -> Scalarish:
