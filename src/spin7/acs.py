@@ -7,6 +7,10 @@ explicitly). The family multiplies according to the octonion unit table,
 which differs from operator composition, and spans a 7-dimensional
 subspace of the 8x8 endomorphisms that is stable under every frame
 rotation preserving the form.
+
+The J's of every frame, the standard ones at the identity frame, come from
+:func:`rotated_acs_family`; membership in span{J} is the zero residual of
+the trace-orthogonal projection :func:`span_projection`.
 """
 
 from __future__ import annotations
@@ -61,31 +65,19 @@ class ACS:
         return self.matrix @ v
 
 
-def _j_images(frame: list[Vector], lam: int) -> list[Vector]:
-    """J_lam applied to each frame vector f_i: f_0 -> f_lam, f_lam -> -f_0,
-    and P(f_0, f_lam, f_i) otherwise."""
-    cross3 = default_cross().cross3
-    return [
-        frame[lam] if i == 0
-        else -frame[0] if i == lam
-        else cross3(frame[0], frame[lam], frame[i])
-        for i in range(8)
-    ]
-
-
 def build_acs(lam: int) -> ACS:
     """The structure J_lam with J_lam v = P(e0, e_lam, v) off span{e0, e_lam}."""
     if not 1 <= lam <= 7:
         raise ValueError("lam must lie in 1..7")
-    basis = [Vector.basis(8, i) for i in range(8)]
-    cols = _j_images(basis, lam)
-    return ACS(Matrix.from_columns([c.comps for c in cols]), label=lam)
+    return acs_basis()[lam - 1]
 
 
 @cache
 def acs_basis() -> tuple[ACS, ...]:
-    """J_1..J_7 for the Cayley form with the identity metric."""
-    return tuple(build_acs(lam) for lam in range(1, 8))
+    """J_1..J_7 for the Cayley form with the identity metric: the rotated
+    family of the identity frame, each certified as an :class:`ACS`."""
+    return tuple(ACS(m, label=lam)
+                 for lam, m in enumerate(rotated_acs_family(Matrix.identity(8)), start=1))
 
 
 @cache
@@ -104,8 +96,8 @@ def _span_support() -> dict[tuple[int, int], tuple[int, int]]:
 
     The seven J matrices are signed permutation matrices with pairwise
     disjoint supports that together cover every off-diagonal position;
-    both facts are asserted here and make span membership a direct
-    reconstruction test.
+    both facts are asserted here and make each trace pairing with a J a
+    signed sum over its support.
     """
     support: dict[tuple[int, int], tuple[int, int]] = {}
     for lam, j in enumerate(acs_basis(), start=1):
@@ -120,22 +112,9 @@ def _span_support() -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def span_contains_matrix(m: Matrix) -> bool:
-    """Exact membership of an 8x8 matrix in span{J_1..J_7}.
-
-    Column 0 of sum(c_lam J_lam) is (0, c_1, ..., c_7), so the candidate
-    coefficients are read off directly and membership reduces to an exact
-    reconstruction check over the disjoint supports.
-    """
-    support = _span_support()
-    rows = m.rows
-    coeffs = [rows[lam][0] for lam in range(8)]
-    if rows[0][0] or any(rows[i][i] for i in range(8)):
-        return False
-    for (a, b), (lam, sign) in support.items():
-        expected = coeffs[lam] if sign > 0 else -coeffs[lam]
-        if rows[a][b] != expected:
-            return False
-    return True
+    """Exact membership of an 8x8 matrix in span{J_1..J_7}: the residual of
+    :func:`span_projection` is zero."""
+    return span_projection(m)[1].is_zero()
 
 
 def span_projection(m: Matrix) -> tuple[tuple[Fraction, ...], Matrix]:
@@ -235,11 +214,14 @@ def acs_from_unit(u: Vector) -> ACS:
 
 
 def rotated_acs_family(r: Matrix) -> list[Matrix]:
-    """J_1..J_7 built from the rotated frame e'_i = R e_i, in standard coordinates."""
+    """J_1..J_7 of the rotated frame f_i = R e_i, in standard coordinates:
+    J_lam f_0 = f_lam, J_lam f_lam = -f_0, and P(f_0, f_lam, f_i) otherwise."""
+    cross3 = default_cross().cross3
     frame = [r.column(i) for i in range(8)]
     out = []
     for lam in range(1, 8):
-        sparse = [fc.nonzero() for fc in _j_images(frame, lam)]
+        sparse = [(frame[lam] if i == 0 else -frame[0] if i == lam
+                   else cross3(frame[0], frame[lam], frame[i])).nonzero() for i in range(8)]
         # express on the standard basis: e_j = sum_i R[j][i] e'_i for orthogonal R
         cols = []
         for j in range(8):
@@ -357,13 +339,11 @@ def _span_stable_sigma(sigma: tuple[int, ...]) -> bool:
 
 def _span_stable_dense(r: Matrix) -> bool:
     """Span stability for any admissible frame, from the rotated family."""
-    rotated = rotated_acs_family(r)
-    if not all(span_contains_matrix(m) for m in rotated):
+    projections = [span_projection(m) for m in rotated_acs_family(r)]
+    if not all(residual.is_zero() for _, residual in projections):
         return False
-    # containment plus equal dimension gives span equality; the rotated
-    # family's coefficients on the J basis sit in column 0
-    coeff_rows = [[m.rows[lam][0] for lam in range(1, 8)] for m in rotated]
-    return rank(coeff_rows) == 7
+    # containment plus equal dimension gives span equality
+    return rank([coeffs for coeffs, _ in projections]) == 7
 
 
 def span_stability(r: Matrix) -> bool:
@@ -375,8 +355,9 @@ def span_stability(r: Matrix) -> bool:
 
     The route is chosen by type, as in :func:`check_frame`. Any R that is
     not a :class:`SignedPermutation` takes the dense route: build the
-    rotated family J'_1..J'_7 as matrices, test each for membership in
-    span{J} and require rank 7. A :class:`SignedPermutation` R, f_i = eps_i
+    rotated family J'_1..J'_7 as matrices, project each onto span{J}
+    (:func:`span_projection`), and require zero residuals and coefficient
+    rows of rank 7. A :class:`SignedPermutation` R, f_i = eps_i
     e_sigma(i), takes the label route on its ``sigma`` and never builds its
     rows.
     P is trilinear, so J'_lam e_sigma(i) = eps_i P(f_0, f_lam, f_i) =

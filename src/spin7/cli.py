@@ -172,10 +172,10 @@ def cmd_stab(group: str, print_dim: bool, print_basis: bool, fmt: str) -> None:
         _echo_json([b.to_json_obj() for b in algebra.basis])
         return
     if fmt == "text":
-        dec = decompose_so8()
         click.echo(f"group: {group}")
         click.echo(f"dim: {algebra.dim}")
         if group == "spin7":
+            dec = decompose_so8()
             click.echo(f"decomposition: {dec.spin7_dim}+{dec.span_dim}={dec.sum_dim}, "
                        f"intersection {dec.intersection_dim}, "
                        f"bracket closed {dec.bracket_closed}")

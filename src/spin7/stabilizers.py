@@ -24,7 +24,6 @@ from .acs import (
     _permuted_terms,
     acs_basis,
     acs_span_dim,
-    span_contains_matrix,
     span_projection,
 )
 from .cross import default_cross
@@ -114,12 +113,6 @@ class LieSubalgebra:
     def contains(self, m: Matrix) -> bool:
         return self._span.contains(m.flatten())
 
-    def closed_under_bracket(self) -> bool:
-        return all(
-            self._span.contains(a.commutator(b).flatten())
-            for a, b in combinations(self.basis, 2)
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,
@@ -173,16 +166,20 @@ class OmegaExtraction:
     ``omega`` holds the coefficient of J_mu (row mu-1) in the commutator
     [rho, J_lam] (column lam-1); ``residuals[lam-1]`` is the exact part of
     that commutator outside span{J}. A zero residual for every lam says the
-    J-span is invariant under rho.
+    J-span is invariant under rho. ``in_g2`` is computed on first read, so
+    a caller that never reads it never builds g2.
     """
 
     omega: Matrix
     residuals: tuple[Matrix, ...]
-    in_g2: bool
 
     @property
     def residual_zero(self) -> bool:
         return all(r.is_zero() for r in self.residuals)
+
+    @cached_property
+    def in_g2(self) -> bool:
+        return g2_stabilizer().contains(self.omega)
 
     @property
     def omega_antisymmetric(self) -> bool:
@@ -197,7 +194,8 @@ def extract_omega(rho: Matrix) -> OmegaExtraction:
     matrix, and whatever is left over is reported exactly as a residual
     matrix per direction (a nonzero residual is an outcome, not an error).
     The pairings tr(J_mu^T delta) are read from the disjoint signed supports
-    of the J's (:func:`acs.span_projection`), not from matrix products.
+    of the J's (:func:`acs.span_projection`), not from matrix products. The
+    147 brackets of the spin(7) basis are extracted once, in :func:`spin7_omegas`.
     """
     if rho.nrows != 8 or rho.ncols != 8:
         raise ValueError("rho must be an 8x8 matrix")
@@ -215,12 +213,13 @@ def extract_omega(rho: Matrix) -> OmegaExtraction:
         coeffs, residual = span_projection(rho.commutator(j.matrix))
         omega_cols.append(coeffs)
         residuals.append(residual)
-    omega = Matrix.from_columns(omega_cols)
-    return OmegaExtraction(
-        omega=omega,
-        residuals=tuple(residuals),
-        in_g2=g2_stabilizer().contains(omega),
-    )
+    return OmegaExtraction(omega=Matrix.from_columns(omega_cols), residuals=tuple(residuals))
+
+
+@cache
+def spin7_omegas() -> tuple[OmegaExtraction, ...]:
+    """:func:`extract_omega` of each spin(7) basis element, in basis order."""
+    return tuple(extract_omega(rho) for rho in spin7().basis)
 
 
 def constraint_equation(lam: int, mu: int) -> Vector:
@@ -310,17 +309,14 @@ class DecompositionVerdict:
 def decompose_so8() -> DecompositionVerdict:
     """Verify dimensions, trivial intersection, and [spin7, span{J}] in span{J}."""
     sp = spin7()
-    js = [j.matrix for j in acs_basis()]
     span_dim = acs_span_dim()
-    sum_dim = rank([b.flatten() for b in sp.basis] + [j.flatten() for j in js])
-    intersection = sp.dim + span_dim - sum_dim
-    closed = all(span_contains_matrix(b.commutator(j)) for b in sp.basis for j in js)
+    sum_dim = rank([b.flatten() for b in sp.basis] + [j.matrix.flatten() for j in acs_basis()])
     return DecompositionVerdict(
         spin7_dim=sp.dim,
         span_dim=span_dim,
         sum_dim=sum_dim,
-        intersection_dim=intersection,
-        bracket_closed=closed,
+        intersection_dim=sp.dim + span_dim - sum_dim,
+        bracket_closed=all(e.residual_zero for e in spin7_omegas()),
     )
 
 

@@ -101,6 +101,33 @@ class TestSpan:
         near = js[0] + Matrix([[1 if (i, j) == (0, 0) else 0 for j in range(8)]
                                for i in range(8)])
         assert not span_contains_matrix(near)
+        # J_1 plus 1/7 off column 0: column 0 still reads (0, 1, 0, ..., 0)
+        off = js[0] + Matrix([[Fraction(1, 7) if (i, j) == (2, 3) else 0 for j in range(8)]
+                              for i in range(8)])
+        assert not span_contains_matrix(off)
+        # column 0 is (0, c_1..c_7) of a member, one other support entry has the wrong sign
+        member = sum((j * Fraction(k + 2, 5) for k, j in enumerate(js)), Matrix.zero(8, 8))
+        rows = [list(row) for row in member.rows]
+        assert rows[2][3]
+        rows[2][3] = -rows[2][3]
+        flipped = Matrix(rows)
+        assert flipped.column(0) == member.column(0)
+        assert not span_contains_matrix(flipped)
+
+    def test_membership_matches_rank(self):
+        rng = random.Random(1701)
+        js = [j.matrix for j in acs_basis()]
+        flats = [j.flatten() for j in js]
+        for _ in range(20):
+            m = Matrix.zero(8, 8)
+            for j in js:
+                m = m + j * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rows = [list(row) for row in m.rows]
+            rows[rng.randrange(8)][rng.randrange(8)] += Fraction(1, rng.randint(1, 9))
+            perturbed = Matrix(rows)
+            assert rank(flats + [m.flatten()]) == 7 and span_contains_matrix(m)
+            assert rank(flats + [perturbed.flatten()]) == 8
+            assert not span_contains_matrix(perturbed)
 
     def test_clifford_anticommutation(self):
         js = [j.matrix for j in acs_basis()]

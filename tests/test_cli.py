@@ -196,6 +196,31 @@ class TestStab:
     def test_requires_group(self, runner):
         assert runner.invoke(main, ["stab"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "group,text,obj",
+        [
+            ("spin7", "group: spin7\ndim: 21\n"
+                      "decomposition: 21+7=28, intersection 0, bracket closed True\n",
+             '{"dim":21,"group":"spin7"}\n'),
+            ("g2", "group: g2\ndim: 14\n", '{"dim":14,"group":"g2"}\n'),
+        ],
+    )
+    def test_output_is_pinned(self, runner, group, text, obj):
+        result = runner.invoke(main, ["stab", "--group", group])
+        assert (result.exit_code, result.output) == (0, text)
+        result = runner.invoke(main, ["stab", "--group", group, "--format", "json"])
+        assert (result.exit_code, result.output) == (0, obj)
+
+    def test_g2_text_skips_decomposition(self, runner, monkeypatch):
+        import spin7.cli
+
+        def unexpected():
+            raise AssertionError("decompose_so8 called for g2")
+
+        monkeypatch.setattr(spin7.cli, "decompose_so8", unexpected)
+        result = runner.invoke(main, ["stab", "--group", "g2"])
+        assert (result.exit_code, result.output) == (0, "group: g2\ndim: 14\n")
+
 
 class TestOmega:
     def test_zero_matrix(self, runner, tmp_path):

@@ -28,6 +28,12 @@ from spin7.stabilizers import (
     spin7,
 )
 
+
+def assert_closed_under_bracket(algebra):
+    for a, b in combinations(algebra.basis, 2):
+        assert algebra.contains(a.commutator(b)), (a, b)
+
+
 # Frozen by the pre-build oracle: every canonical spin(7) basis element has a
 # zero residual and an antisymmetric coefficient matrix, and none of them
 # lands inside g2 (the g2 verdict is reported data, not a pass condition).
@@ -86,7 +92,7 @@ class TestSpin7:
         assert len(m.nullspace()) == 21
 
     def test_bracket_closure(self):
-        assert spin7().closed_under_bracket()
+        assert_closed_under_bracket(spin7())
 
     def test_nothing_outside_kernel(self):
         # adding any elementary rotation not in the algebra must break closure
@@ -114,7 +120,7 @@ class TestG2:
         assert g2_stabilizer().contains(Matrix.zero(7, 7))
 
     def test_bracket_closure(self):
-        assert g2_stabilizer().closed_under_bracket()
+        assert_closed_under_bracket(g2_stabilizer())
 
     def test_matches_sympy_nullity(self):
         sympy = pytest.importorskip("sympy")

@@ -37,6 +37,20 @@ def run_on_form(terms: dict) -> dict:
     return json.loads(done.stdout)
 
 
+def test_flipped_term_fails_the_bracket_cases():
+    # the sign of e^{0123} flipped: the J's change, and the span{J} they
+    # give is no longer stable under the stabilizer of the mutated form
+    terms = dict(cayley_form().terms)
+    terms[(0, 1, 2, 3)] = -terms[(0, 1, 2, 3)]
+    reports = run_on_form(terms)["reports"]
+    claim2 = [f["inputs"] for f in reports["claim2"][1]]
+    assert "[spin(7), span{J}] in span{J}" in claim2
+    claim3 = [f["inputs"] for f in reports["claim3"][1]
+              if f["inputs"].startswith("[spin(7) element ")]
+    assert len(claim3) == 9
+    assert all(name.endswith(", span{J}] in span{J}") for name in claim3)
+
+
 def test_conjugate_form_passes_every_suite():
     # phi written in the oriented orthonormal frame f_i = eps_i e_sigma(i)
     # with sigma = (3 4) and eps_0 = -1: the Cayley form in another basis
