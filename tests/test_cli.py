@@ -212,12 +212,10 @@ class TestStab:
         assert (result.exit_code, result.output) == (0, obj)
 
     def test_g2_text_skips_decomposition(self, runner, monkeypatch):
-        import spin7.cli
-
         def unexpected():
             raise AssertionError("decompose_so8 called for g2")
 
-        monkeypatch.setattr(spin7.cli, "decompose_so8", unexpected)
+        monkeypatch.setattr("spin7.cli.decompose_so8", unexpected)
         result = runner.invoke(main, ["stab", "--group", "g2"])
         assert (result.exit_code, result.output) == (0, "group: g2\ndim: 14\n")
 
