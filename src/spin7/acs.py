@@ -294,27 +294,12 @@ def check_frame(r: Matrix) -> None:
 
 
 @cache
-def _unit_triples() -> dict[tuple[int, int, int], tuple[int, int]]:
-    """Map (a, b, c) -> (m, s) with P(e_a, e_b, e_c) = s e_m, for distinct a, b, c.
-
-    Every 3-subset of indices lies in exactly one of the 14 term index sets
-    and every coefficient is +/-1, so each such product is a single signed
-    unit; both facts are asserted here.
-    """
-    out: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for key, c in default_cross().phi_signed.items():
-        assert c * c == 1 and key[:3] not in out
-        out[key[:3]] = (key[3], 1 if c > 0 else -1)
-    assert len(out) == 8 * 7 * 6
-    return out
-
-
-@cache
 def _span_stable_sigma(sigma: tuple[int, ...]) -> bool:
     """Span stability for every signed permutation frame f_i = eps_i e_sigma(i)
-    with the permutation sigma; the signs eps_i cannot change the verdict."""
+    with the permutation sigma; the signs eps_i cannot change the verdict.
+    A basis product that is not one signed unit raises or gives False."""
     support = _span_support()
-    units = _unit_triples()
+    products = default_cross().products
     a = sigma[0]
     mus = set()
     for lam in range(1, 8):
@@ -327,8 +312,9 @@ def _span_stable_sigma(sigma: tuple[int, ...]) -> bool:
         for i in range(1, 8):
             if i != lam:
                 c = sigma[i]
-                image[c] = units[(a, b, c)]
-        # K_lam = t J_mu with (mu, t) read off column 0, since J_mu e_0 = e_mu
+                (image[c],) = products[(a, b, c)]
+        # K_lam = t J_mu with (mu, t) read off column 0, since J_mu e_0 = e_mu;
+        # column 0 matches only if t * t = 1, and then every sign must be +/-1
         mu, t = image[0]
         for col, (row, sign) in enumerate(image):
             if support.get((row, col)) != (mu, sign * t):
@@ -369,8 +355,9 @@ def span_stability(r: Matrix) -> bool:
     permutation (1344 times for the 21504 symmetries). Each K_lam is a
     signed permutation matrix built from 8 integer lookups: e_sigma(0) ->
     e_sigma(lam), e_sigma(lam) -> -e_sigma(0), and the rest a signed unit
-    of the Cayley form's table. The J's are signed permutation matrices with
-    disjoint supports that cover the off-diagonal, so such a matrix lies in
+    read off :attr:`CrossProduct.products`, which the octonion unit table
+    reads too. The J's are signed permutation matrices with disjoint
+    supports that cover the off-diagonal, so such a matrix lies in
     span{J} exactly when it equals +/-J_mu, with mu read off column 0, and
     the seven coefficient rows +/-e_mu have rank 7 exactly when the seven
     mu are distinct. Both routes decide the same fact exactly, and

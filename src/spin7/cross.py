@@ -61,6 +61,10 @@ class CrossProduct:
 
     ``phi_signed`` is the form's cached :func:`signed_coefficients` table;
     every signed coefficient lookup on phi reads it.
+
+    ``products`` is the one table of basis products: (i, j, k) ->
+    ((m, c), ...), ascending in m, with P(e_i, e_j, e_k) the sum of c e_m in
+    the form's own coefficients; zero products are absent.
     """
 
     def __init__(self, phi: AltForm | None = None):
@@ -70,12 +74,15 @@ class CrossProduct:
         self.phi = phi
         self.phi_signed = signed_coefficients(phi)
         self._basis = tuple(Vector.basis(8, i) for i in range(8))
-        # the dense kernel's table (i, j, k) -> ((m, c), ...) holds the signed
-        # coefficients times self._scale, the lcm of their denominators
-        self._scale, scaled = _cleared(tuple(self.phi_signed.items()))
-        self._triples: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
-        for (i, j, k, m), c in scaled:
-            self._triples[(i, j, k)] = self._triples.get((i, j, k), ()) + ((m, c),)
+        self.products: dict[tuple[int, int, int], tuple[tuple[int, int | Fraction], ...]] = {}
+        for (i, j, k, m), c in sorted(self.phi_signed.items()):
+            self.products[(i, j, k)] = self.products.get((i, j, k), ()) + ((m, c),)
+        # the dense kernel's copy holds the products times self._scale, the
+        # lcm of their denominators, so that every entry is an int
+        self._scale = lcm(*(c.denominator for c in self.phi_signed.values()))
+        self._triples = {key: tuple((m, c.numerator * (self._scale // c.denominator))
+                                    for m, c in hits)
+                         for key, hits in self.products.items()}
 
     def cross3(self, a: Vector, b: Vector, c: Vector) -> Vector:
         """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i.

@@ -25,7 +25,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .linalg import F0, F1, Matrix, Vector, det
+from .linalg import F0, F1, Matrix, Vector, det, parse_rational
 
 DIM = 8
 
@@ -218,8 +218,6 @@ class AltForm:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AltForm":
-        from .linalg import parse_rational
-
         degree = obj["degree"]
         terms = {}
         for key, value in obj["terms"].items():

@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, NamedTuple
 
-from .forms import AltForm, cayley_form
+from .cross import CrossProduct, default_cross
+from .forms import AltForm
 from .linalg import Vector
 
 
@@ -70,26 +71,23 @@ class UnitTable:
 
     @classmethod
     def from_form(cls, phi: AltForm | None = None) -> "UnitTable":
-        """Derive the table entries e_lam * e_mu from the triple cross product.
+        """Read the table entries e_lam * e_mu = P(e_0, e_lam, e_mu) off the
+        basis products of the form's cross product (:attr:`CrossProduct.products`;
+        the shared :func:`default_cross` when phi is None).
 
-        Each product of distinct imaginary frame units must come out as a
-        single signed basis vector; anything else raises
-        :class:`NotSingleBasisVector`.
+        Each product of distinct imaginary frame units must be a single
+        signed basis vector; anything else raises :class:`NotSingleBasisVector`.
         """
-        from .cross import CrossProduct
-
-        cp = CrossProduct(phi if phi is not None else cayley_form())
-        e = [Vector.basis(8, i) for i in range(8)]
+        products = (default_cross() if phi is None else CrossProduct(phi)).products
         entries: dict[tuple[int, int], SignedUnit] = {}
         for lam in range(1, 8):
             for mu in range(1, 8):
                 if lam == mu:
                     continue
-                w = cp.cross3(e[0], e[lam], e[mu])
-                support = w.nonzero()
+                support = products.get((0, lam, mu), ())
                 if len(support) != 1 or abs(support[0][1]) != 1:
                     raise NotSingleBasisVector(
-                        f"P(e0,e{lam},e{mu}) = {w} is not a signed basis vector"
+                        f"P(e0,e{lam},e{mu}) = {support} is not a signed basis vector"
                     )
                 nu, c = support[0]
                 entries[(lam, mu)] = SignedUnit(nu, 1 if c > 0 else -1)
@@ -147,7 +145,7 @@ class UnitTable:
 @cache
 def default_table() -> UnitTable:
     """The unit table of the Cayley form."""
-    return UnitTable.from_form(cayley_form())
+    return UnitTable.from_form()
 
 
 class Octonion(Vector):
@@ -167,10 +165,6 @@ class Octonion(Vector):
     @classmethod
     def unit(cls, i: int) -> "Octonion":
         return cls.basis(8, i)
-
-    @property
-    def real(self) -> Fraction:
-        return self.comps[0]
 
     def __mul__(self, other):
         if isinstance(other, Octonion):

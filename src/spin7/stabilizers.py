@@ -37,6 +37,7 @@ from .linalg import (
     rank,
     subspace_equal,
 )
+from .octonion import default_table
 
 SO8_PAIRS: tuple[tuple[int, int], ...] = tuple(
     (i, j) for i in range(8) for j in range(i + 1, 8)
@@ -112,14 +113,6 @@ class LieSubalgebra:
 
     def contains(self, m: Matrix) -> bool:
         return self._span.contains(m.flatten())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "ambient_dim": self.ambient_dim,
-            "dim": self.dim,
-            "basis": [b.to_json_obj() for b in self.basis],
-        }
 
 
 def _annihilator(f: AltForm, pairs: tuple[tuple[int, int], ...]) -> tuple[Matrix, ...]:
@@ -199,13 +192,10 @@ def extract_omega(rho: Matrix) -> OmegaExtraction:
     """
     if rho.nrows != 8 or rho.ncols != 8:
         raise ValueError("rho must be an 8x8 matrix")
-    if not rho.is_antisymmetric():
-        bad = next(
-            (i, j)
-            for i in range(8)
-            for j in range(8)
-            if rho[i][j] != -rho[j][i]
-        )
+    # a violation at (i, j) is one at (j, i), so the first one has i <= j
+    bad = next(((i, j) for i in range(8) for j in range(i, 8)
+                if rho.rows[i][j] != -rho.rows[j][i]), None)
+    if bad is not None:
         raise ValueError(f"rho is not antisymmetric at {bad}")
     omega_cols = []
     residuals = []
@@ -229,8 +219,6 @@ def constraint_equation(lam: int, mu: int) -> Vector:
     w^{lam x mu}_lam + w^{mu x lam}_mu - w^mu_{lam x mu} = 0 with the
     negative-label sign convention applied to every slot.
     """
-    from .octonion import default_table
-
     if lam == mu or not (1 <= lam <= 7 and 1 <= mu <= 7):
         raise ValueError("need distinct imaginary indices")
     table = default_table()
@@ -249,7 +237,6 @@ class ConstraintSystemReport:
 
     equation_count: int
     dimension: int
-    basis: tuple[Matrix, ...]
     equals_g2: bool
 
 
@@ -272,15 +259,11 @@ def constraint_system_g2() -> ConstraintSystemReport:
             row[7 * (b - 1) + (a - 1)] += 1
             rows.append(Vector(row))
     solutions = kernel_basis(rows, 49)
-    basis = tuple(
-        Matrix([v[7 * i + j] for j in range(7)] for i in range(7)) for v in solutions
-    )
     g2_rows = [b.flatten() for b in g2_stabilizer().basis]
     equals = bool(solutions) and subspace_equal(solutions, g2_rows)
     return ConstraintSystemReport(
         equation_count=len(rows),
         dimension=len(solutions),
-        basis=basis,
         equals_g2=equals,
     )
 

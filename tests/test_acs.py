@@ -29,11 +29,11 @@ from spin7.acs import (
     span_stability,
     times_product,
 )
-from spin7.cross import default_cross
-from spin7.forms import cayley_form, pullback, sort_with_sign
+from spin7.cross import CrossProduct, default_cross
+from spin7.forms import AltForm, cayley_form, pullback, sort_with_sign
 from spin7.linalg import Matrix, SignedPermutation, Vector, det, rank
 from spin7.octonion import SignedUnit, default_table
-from spin7.stabilizers import signed_perm_symmetries, spin7
+from spin7.stabilizers import _term_permutations, signed_perm_symmetries, spin7
 
 E = [Vector.basis(8, i) for i in range(8)]
 I8 = Matrix.identity(8)
@@ -298,6 +298,22 @@ class TestSpanStabilityRoutes:
         assert sum(1 for row in r.rows for x in row if x) > 8
         assert check_frame(r) is None
         assert span_stability(r) is True
+
+    @pytest.mark.parametrize("scale, unit_at", [
+        (lambda key: 2, None), (lambda key: Fraction(1, 2), None),
+        (lambda key: 1 if 0 in key else -3, 0),
+    ], ids=["double", "half", "off-e0"])
+    def test_label_route_passes_only_on_unit_products(self, monkeypatch, scale, unit_at):
+        # sigma reads only the products P(e_sigma(0), ., .); with the terms
+        # scaled by scale(key) these are all signed units exactly when
+        # sigma(0) = unit_at, and no other of the 1344 sigma may pass
+        acs._span_support()
+        terms = {key: c * scale(key) for key, c in cayley_form().terms.items()}
+        cp = CrossProduct(AltForm(4, terms))
+        monkeypatch.setattr(acs, "default_cross", lambda: cp)
+        sigmas = list(_term_permutations())
+        passed = [s for s in sigmas if acs._span_stable_sigma.__wrapped__(s)]
+        assert passed == [s for s in sigmas if s[0] == unit_at]
 
     def test_flipped_form_fails_on_both_routes(self):
         # the sign of e^{0123} flipped before first use, in a fresh process

@@ -1,8 +1,12 @@
-"""The benchmark's tracer still finds every package function it wraps.
+"""The benchmark's tracer still finds every package function it wraps,
+and every traced layer it pins is still called.
 
 ``bench/tracing.py`` rebinds a fixed list of names; a deleted or renamed
-one makes ``install`` raise. Running it here catches that in the test
-suite instead of in a benchmark run. Nothing under ``bench/`` is written.
+one makes ``install`` raise. ``bench/selftest.py``'s ``Tracing`` case also
+requires the pinned counts, e.g. ``cross.cross3.unit.calls > 0`` after the
+lemma suite, so a change that leaves a traced layer uncalled fails here
+instead of in a benchmark run. Nothing under ``bench/`` is written except
+the bytecode caches that ``.gitignore`` lists.
 """
 
 import os
@@ -22,5 +26,14 @@ def test_tracer_installs():
     done = subprocess.run(
         [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_selftest_tracing_counts():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py"), "Tracing"],
+        cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

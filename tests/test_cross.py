@@ -1,8 +1,12 @@
 """Triple cross product: axioms, induced rank-2 product, composition rule."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,15 @@ ORACLE_TERMS = {
     (0, 3, 4, 7): -1, (0, 3, 5, 6): -1, (1, 2, 4, 7): -1, (1, 2, 5, 6): -1,
     (0, 1, 2, 3): 1, (4, 5, 6, 7): 1,
 }
+
+
+def fractional_form():
+    """Not the Cayley form: fractional and integer coefficients, 8 terms."""
+    rng = random.Random(32)
+    keys = rng.sample(sorted(ORACLE_TERMS), 6) + [(0, 1, 2, 4), (3, 5, 6, 7)]
+    coeffs = [Fraction(2, 3), Fraction(-5, 7), 3, Fraction(1, 10 ** 6), -1,
+              Fraction(9, 4), Fraction(-1, 6), 2]
+    return AltForm(4, dict(zip(keys, coeffs)))
 
 
 def oracle_phi(i, j, k, m):
@@ -135,14 +148,46 @@ class TestCross3:
             self.assert_duality(cp, a, b, c)
 
     def test_dense_kernel_on_fractional_form(self):
-        # not the Cayley form: fractional and integer coefficients, 8 terms
-        rng = random.Random(32)
-        keys = rng.sample(sorted(ORACLE_TERMS), 6) + [(0, 1, 2, 4), (3, 5, 6, 7)]
-        coeffs = [Fraction(2, 3), Fraction(-5, 7), 3, Fraction(1, 10 ** 6), -1,
-                  Fraction(9, 4), Fraction(-1, 6), 2]
-        cp = CrossProduct(AltForm(4, dict(zip(keys, coeffs))))
+        cp = CrossProduct(fractional_form())
         for a, b, c in self.dense_triples(33):
             self.assert_duality(cp, a, b, c)
+
+
+class TestProducts:
+    """``CrossProduct.products``, the one table of basis products."""
+
+    def test_cayley_products_are_signed_units(self):
+        products = default_cross().products
+        assert len(products) == 8 * 7 * 6
+        for (i, j, k), hits in products.items():
+            ((m, c),) = hits
+            assert c in (1, -1) and m not in (i, j, k)
+
+    @pytest.mark.parametrize("form", [cayley_form(), fractional_form()],
+                             ids=["phi", "fractional"])
+    def test_products_agree_with_cross3(self, form):
+        cp = CrossProduct(form)
+        for i, j, k in product(range(8), repeat=3):
+            assert cp.products.get((i, j, k), ()) == cp.cross3(E[i], E[j], E[k]).nonzero()
+
+    def test_one_cross_product_per_process(self):
+        # the unit table reads the shared cross product instead of building
+        # a second one
+        script = """
+import spin7.cross as cross
+built = []
+init = cross.CrossProduct.__init__
+cross.CrossProduct.__init__ = lambda self, *a: built.append(1) or init(self, *a)
+from spin7.octonion import default_table
+cross.default_cross(); default_table()
+print(len(built))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
 
 class TestCompatibility:

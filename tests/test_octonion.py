@@ -68,7 +68,7 @@ class TestUnitTable:
 
     def test_rejects_non_cayley_form(self):
         lone = AltForm(4, {(0, 1, 2, 3): 1})
-        with pytest.raises(NotSingleBasisVector):
+        with pytest.raises(NotSingleBasisVector, match=r"P\(e0,e1,e4\)"):
             UnitTable.from_form(lone)
 
     def test_derived_not_stored(self):

@@ -220,6 +220,13 @@ class TestExtractOmega:
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
             extract_omega(bad)
 
+    def test_witness_of_an_entry_below_the_diagonal(self):
+        # the first bad position in lexical order is (1, 3), not (3, 1)
+        rows = [[0] * 8 for _ in range(8)]
+        rows[3][1] = 1
+        with pytest.raises(ValueError, match=r"at \(1, 3\)"):
+            extract_omega(Matrix(rows))
+
 
 class TestConstraintSystem:
     def test_equation_instance(self):
