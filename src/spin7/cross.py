@@ -6,6 +6,9 @@ component m of P(a,b,c) is the plain form evaluation phi(a,b,c,e_m). The
 induced product P(e0, ., .) on the orthogonal complement of e_0 determines
 a 3-form on indices 1..7 whose coefficients are the structure constants of
 the unit product table.
+
+The two basis sweeps return the axioms and lemma suites' :class:`VerdictReport`,
+the one verdict record of :mod:`spin7.verify`.
 """
 
 from __future__ import annotations
@@ -38,15 +41,37 @@ class CompatibilityReport:
 
 
 @dataclass
-class LemmaReport:
-    """Outcome of a composition-rule sweep."""
+class VerdictReport:
+    """A suite's case count and failures, each {inputs, expected, actual}."""
 
+    suite: str
     cases: int = 0
     failures: list[dict] = field(default_factory=list)
+    metadata: dict = field(default_factory=dict)
+    details: dict | None = None
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
+    def verdict(self) -> str:
+        return "pass" if not self.failures else "fail"
+
+    def check(self, ok: bool, inputs: str, expected: str, actual: str) -> None:
+        self.cases += 1
+        if not ok:
+            self.failures.append(
+                {"inputs": inputs, "expected": expected, "actual": actual}
+            )
+
+    def to_json_obj(self) -> dict:
+        obj = {
+            "suite": self.suite,
+            "cases": self.cases,
+            "failures": self.failures,
+            "verdict": self.verdict,
+            "metadata": self.metadata,
+        }
+        if self.details is not None:
+            obj["details"] = self.details
+        return obj
 
 
 def _cleared(entries: Sequence[tuple[object, Fraction]]) -> tuple[int, list[tuple]]:
@@ -77,12 +102,6 @@ class CrossProduct:
         self.products: dict[tuple[int, int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         for (i, j, k, m), c in sorted(self.phi_signed.items()):
             self.products[(i, j, k)] = self.products.get((i, j, k), ()) + ((m, c),)
-        # the dense kernel's copy holds the products times self._scale, the
-        # lcm of their denominators, so that every entry is an int
-        self._scale = lcm(*(c.denominator for c in self.phi_signed.values()))
-        self._triples = {key: tuple((m, c.numerator * (self._scale // c.denominator))
-                                    for m, c in hits)
-                         for key, hits in self.products.items()}
 
     def cross3(self, a: Vector, b: Vector, c: Vector) -> Vector:
         """The unique vector with g(result, e_i) = phi(a, b, c, e_i) for all i.
@@ -93,15 +112,15 @@ class CrossProduct:
         _, acc, den = self._cross3_ints(a, b, c)
         return Vector(acc if den == 1 else [Fraction(t, den) for t in acc])
 
-    def _cross3_ints(self, a: Vector, b: Vector, c: Vector) -> tuple[list, list[int], int]:
+    def _cross3_ints(self, a: Vector, b: Vector, c: Vector) -> tuple[list, list, int]:
         """(cleared, q, D) with P(a, b, c) = q / D: each argument's
         denominators are cleared once, as (d, [(k, d x_k), ...]) in
-        ``cleared``, the products accumulate in Python ints over the signed
-        table (i, j, k) -> ((m, c), ...), and D is the product of the three
-        d and ``_scale``."""
+        ``cleared``, the products accumulate over :attr:`products` (in Python
+        ints when the form's coefficients are ints), and D is the product of
+        the three d."""
         cleared = [_cleared(t.nonzero()) for t in (a, b, c)]
         (da, na), (db, nb), (dc, nc) = cleared
-        tab = self._triples
+        tab = self.products
         acc = [0] * 8
         for i, x in na:
             for j, y in nb:
@@ -114,16 +133,17 @@ class CrossProduct:
                         w = xy * z
                         for m, co in hit:
                             acc[m] += w * co
-        return cleared, acc, da * db * dc * self._scale
+        return cleared, acc, da * db * dc
 
     def check_compatibility(self, a: Vector, b: Vector, c: Vector) -> CompatibilityReport:
         """Residuals of orthogonality to each argument and of the norm identity,
         (g(p, a), g(p, b), g(p, c)) and |p|^2 - det Gram(a, b, c) for p =
         P(a, b, c). All residuals are exactly zero for a compatible product.
 
-        They are computed in integers: with a = A / da, ... and p = q / D from
-        the cross3 kernel, the pairings q.A and q.q and the Gram determinant
-        of A, B and C are integer sums, and each residual is one Fraction.
+        They are computed in integers on an integer form: with a = A / da,
+        ... and p = q / D from the cross3 kernel, the pairings q.A and q.q and
+        the Gram determinant of A, B and C are integer sums, and each residual
+        is one Fraction.
         """
         cleared, q, den = self._cross3_ints(a, b, c)
         vecs = [dict(entries) for _, entries in cleared]
@@ -134,7 +154,7 @@ class CrossProduct:
         return CompatibilityReport(
             orthogonality=tuple(Fraction(sum(q[k] * x for k, x in entries), den * d)
                                 for d, entries in cleared),
-            norm_residual=Fraction(sum(t * t for t in q) - gram * self._scale ** 2, den * den),
+            norm_residual=Fraction(sum(t * t for t in q) - gram, den * den),
         )
 
     def cross2(self, u: Vector, v: Vector) -> Vector:
@@ -221,12 +241,13 @@ def default_cross() -> CrossProduct:
     return CrossProduct()
 
 
-def verify_compatibility() -> LemmaReport:
-    """Check the orthogonality and norm identities on all 8^3 ordered basis
-    triples plus 100 deterministic pseudo-random rational triples."""
+def verify_compatibility() -> VerdictReport:
+    """The axioms suite's report: the orthogonality and norm identities on
+    all 8^3 ordered basis triples plus 100 deterministic pseudo-random
+    rational triples."""
     cp = default_cross()
     basis = [Vector.basis(8, i) for i in range(8)]
-    report = LemmaReport()
+    report = VerdictReport("axioms")
     triples = [(a, b, c) for a in basis for b in basis for c in basis]
     rng = random.Random(8)
     extra = [
@@ -241,18 +262,19 @@ def verify_compatibility() -> LemmaReport:
             report.failures.append(
                 {
                     "inputs": f"({a}; {b}; {c})",
-                    "lhs": f"({', '.join(str(x) for x in res.orthogonality)})",
-                    "rhs": str(res.norm_residual),
+                    "expected": "zero residuals",
+                    "actual": f"({', '.join(map(str, res.orthogonality))}), {res.norm_residual}",
                 }
             )
     return report
 
 
-def verify_composition_lemma() -> LemmaReport:
-    """Sweep the composition rule over all 8^5 = 32768 ordered basis
-    5-tuples, which by multilinearity of both sides covers all inputs."""
+def verify_composition_lemma() -> VerdictReport:
+    """The lemma suite's report: the composition rule over all 8^5 = 32768
+    ordered basis 5-tuples, which by multilinearity of both sides covers all
+    inputs. A failure expects the right side and gets the left."""
     cp = default_cross()
-    report = LemmaReport()
+    report = VerdictReport("lemma")
     # Both sides read a table of the 512 basis products P(e_i, e_j, e_k),
     # flattened to 64 i + 8 j + k. On basis vectors g(e_x, e_y) is x == y.
     basis = [Vector.basis(8, i) for i in range(8)]
@@ -293,8 +315,8 @@ def verify_composition_lemma() -> LemmaReport:
                             report.failures.append(
                                 {
                                     "inputs": f"(e{a}; e{b}; e{u}; e{v}; e{w})",
-                                    "lhs": str(Vector(lhs)),
-                                    "rhs": str(Vector(rhs)),
+                                    "expected": str(Vector(rhs)),
+                                    "actual": str(Vector(lhs)),
                                 }
                             )
     return report

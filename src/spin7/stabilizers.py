@@ -278,16 +278,6 @@ class DecompositionVerdict:
     intersection_dim: int
     bracket_closed: bool
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.spin7_dim == 21
-            and self.span_dim == 7
-            and self.sum_dim == 28
-            and self.intersection_dim == 0
-            and self.bracket_closed
-        )
-
 
 def decompose_so8() -> DecompositionVerdict:
     """Verify dimensions, trivial intersection, and [spin7, span{J}] in span{J}."""

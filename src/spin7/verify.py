@@ -1,7 +1,8 @@
 """Verification suites: exhaustive exact checks over the whole algebra.
 
 Each suite returns a :class:`VerdictReport`; a report passes exactly when
-its failure list is empty. Convention notes ride along as metadata, and the
+its failure list is empty; the axioms and lemma reports come from the basis
+sweeps in :mod:`spin7.cross`. Convention notes ride along as metadata, and the
 connection-coefficient suite additionally carries its per-element data
 (coefficient matrix, residual status, g2 membership) since those verdicts
 are outputs in their own right, not pass/fail conditions.
@@ -13,7 +14,6 @@ two runs over the same build produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .acs import (
     acs_basis,
@@ -22,7 +22,7 @@ from .acs import (
     span_stability,
     times_product,
 )
-from .cross import verify_compatibility, verify_composition_lemma
+from .cross import VerdictReport, verify_compatibility, verify_composition_lemma
 from .forms import cayley_form, parse_form, print_form
 from .linalg import Matrix
 from .octonion import Octonion, associator, default_table, oct_mul
@@ -35,48 +35,6 @@ from .stabilizers import (
     spin7,
     spin7_omegas,
 )
-
-SUITE_NAMES = (
-    "selfdual",
-    "axioms",
-    "lemma",
-    "claim1",
-    "claim2",
-    "claim3",
-    "claim4",
-)
-
-
-@dataclass
-class VerdictReport:
-    suite: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-    details: dict | None = None
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if not self.failures else "fail"
-
-    def check(self, ok: bool, inputs: str, expected: str, actual: str) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures.append(
-                {"inputs": inputs, "expected": expected, "actual": actual}
-            )
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "verdict": self.verdict,
-            "metadata": self.metadata,
-        }
-        if self.details is not None:
-            obj["details"] = self.details
-        return obj
 
 
 def suite_selfdual() -> VerdictReport:
@@ -110,14 +68,7 @@ def suite_selfdual() -> VerdictReport:
 
 def suite_axioms() -> VerdictReport:
     """Metric compatibility of the triple product, and the octonion axioms."""
-    report = VerdictReport("axioms")
-    compat = verify_compatibility()
-    report.cases += compat.cases
-    report.failures.extend(
-        {"inputs": f["inputs"], "expected": "zero residuals", "actual": f"{f['lhs']}, {f['rhs']}"}
-        for f in compat.failures
-    )
-
+    report = verify_compatibility()
     table = default_table()
     for lam in range(1, 8):
         for mu in range(1, 8):
@@ -167,13 +118,7 @@ def suite_axioms() -> VerdictReport:
 
 def suite_lemma() -> VerdictReport:
     """The composition rule over all 32768 ordered basis 5-tuples."""
-    report = VerdictReport("lemma")
-    sweep = verify_composition_lemma()
-    report.cases = sweep.cases
-    report.failures = [
-        {"inputs": f["inputs"], "expected": f["rhs"], "actual": f["lhs"]}
-        for f in sweep.failures
-    ]
+    report = verify_composition_lemma()
     report.metadata["note"] = (
         "multilinearity of both sides makes the basis sweep cover all inputs"
     )
@@ -352,6 +297,7 @@ _SUITES = {
     "claim3": suite_claim3,
     "claim4": suite_claim4,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> VerdictReport:

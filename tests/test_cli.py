@@ -7,8 +7,11 @@ import re
 import pytest
 from click.testing import CliRunner
 
+import spin7.cross
 from spin7.cli import main
-from spin7.forms import cayley_form, parse_form
+from spin7.cross import CrossProduct
+from spin7.forms import AltForm, cayley_form, parse_form
+from spin7.linalg import Vector
 
 
 @pytest.fixture()
@@ -142,6 +145,19 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--suite", "claim1", "--format", "text"])
         assert result.exit_code == 0
         assert "claim1: pass" in result.output
+
+    def test_text_format_names_each_failure(self, runner, monkeypatch):
+        # the lemma on the Cayley form with the sign of e^{0123} flipped
+        terms = dict(cayley_form().terms)
+        terms[(0, 1, 2, 3)] = -1
+        cp = CrossProduct(AltForm(4, terms))
+        monkeypatch.setattr(spin7.cross, "default_cross", lambda: cp)
+        result = runner.invoke(main, ["verify", "--suite", "lemma", "--format", "text"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert lines[0] == "lemma: fail (32768 cases)"
+        lhs, rhs = cp.composition_sides(*(Vector.basis(8, i) for i in (0, 1, 0, 4, 6)))
+        assert lines[1] == f"  FAIL (e0; e1; e0; e4; e6): expected {rhs}, got {lhs}"
 
     def test_claim1_details(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "claim1"])

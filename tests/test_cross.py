@@ -325,7 +325,7 @@ class TestNegativeControls:
         basis = {str(e) for e in E}
         for f in report.failures:
             assert not set(f["inputs"][1:-1].split("; ")) <= basis
-            assert "Fraction" not in f["lhs"]
+            assert "Fraction" not in f["actual"]
 
     def test_composition_lemma_fails(self, flipped):
         report = verify_composition_lemma()
@@ -341,7 +341,7 @@ class TestNegativeControls:
             idx = tuple(int(e[1:]) for e in f["inputs"][1:-1].split("; "))
             failed.add(idx)
             lhs, rhs = cp.composition_sides(*(E[i] for i in idx))
-            assert (f["lhs"], f["rhs"]) == (str(lhs), str(rhs))
+            assert (f["actual"], f["expected"]) == (str(lhs), str(rhs))
         assert len(failed) == 2592
         passed = [idx for idx in product(range(8), repeat=5) if idx not in failed]
         for idx in random.Random(5).sample(passed, 1000):

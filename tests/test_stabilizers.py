@@ -270,7 +270,6 @@ class TestDecomposition:
         assert dec.sum_dim == 28
         assert dec.intersection_dim == 0
         assert dec.bracket_closed
-        assert dec.ok
 
     def test_embedding(self):
         m = antisym_unit(7, 2, 4)

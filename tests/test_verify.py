@@ -13,15 +13,17 @@ STANDARD_CASES = {"selfdual": 17, "axioms": 775, "lemma": 32768, "claim1": 50,
                   "claim2": 48, "claim3": 21526, "claim4": 350}
 
 SCRIPT = """
-import json, sys
+import hashlib, json, sys
 import spin7.forms as forms
 forms._CAYLEY_TERMS.clear()
 forms._CAYLEY_TERMS.update({tuple(k): c for k, c in json.loads(sys.argv[1])})
 from spin7.octonion import Octonion, associator
-from spin7.verify import run_all
+from spin7.verify import reports_to_json, run_all
 units = [Octonion.unit(i) for i in range(8)]
+reports = run_all()
 print(json.dumps({
-    "reports": {r.suite: [r.cases, r.failures] for r in run_all()},
+    "reports": {r.suite: [r.cases, r.failures] for r in reports},
+    "sha256": hashlib.sha256(reports_to_json(reports).encode()).hexdigest(),
     "assoc_124_zero": associator(units[1], units[2], units[4]).is_zero(),
 }))
 """
@@ -42,7 +44,10 @@ def test_flipped_term_fails_the_bracket_cases():
     # give is no longer stable under the stabilizer of the mutated form
     terms = dict(cayley_form().terms)
     terms[(0, 1, 2, 3)] = -terms[(0, 1, 2, 3)]
-    reports = run_on_form(terms)["reports"]
+    out = run_on_form(terms)
+    # every failure record, byte for byte
+    assert out["sha256"] == "6e696cf4b58f0bebc77b44dcacd4bef77119b7949c071ada8074b42439515a51"
+    reports = out["reports"]
     claim2 = [f["inputs"] for f in reports["claim2"][1]]
     assert "[spin(7), span{J}] in span{J}" in claim2
     claim3 = [f["inputs"] for f in reports["claim3"][1]
