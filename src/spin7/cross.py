@@ -14,14 +14,12 @@ the one verdict record of :mod:`spin7.verify`.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .forms import AltForm, cayley_form, signed_coefficients
-from .linalg import Vector
+from .linalg import Vector, clear_denominators
 
 
 class InputNotInE0Perp(ValueError):
@@ -74,13 +72,6 @@ class VerdictReport:
         return obj
 
 
-def _cleared(entries: Sequence[tuple[object, Fraction]]) -> tuple[int, list[tuple]]:
-    """(d, [(k, d * c), ...]) for entries (k, c), d the lcm of the
-    denominators, so every scaled value is an int."""
-    d = lcm(*(c.denominator for _, c in entries))
-    return d, [(k, c.numerator * (d // c.denominator)) for k, c in entries]
-
-
 class CrossProduct:
     """The alternating triple product dual to a 4-form under the dot product.
 
@@ -118,7 +109,7 @@ class CrossProduct:
         ``cleared``, the products accumulate over :attr:`products` (in Python
         ints when the form's coefficients are ints), and D is the product of
         the three d."""
-        cleared = [_cleared(t.nonzero()) for t in (a, b, c)]
+        cleared = [clear_denominators(t.nonzero()) for t in (a, b, c)]
         (da, na), (db, nb), (dc, nc) = cleared
         tab = self.products
         acc = [0] * 8

@@ -25,7 +25,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .linalg import F0, F1, Matrix, Vector, det, parse_rational
+from .linalg import F0, F1, Matrix, Vector, clear_denominators, parse_rational
 
 DIM = 8
 
@@ -52,7 +52,7 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 class AltForm:
     """Alternating k-form stored as {increasing index tuple: coefficient}."""
 
-    __slots__ = ("degree", "terms", "_signed")
+    __slots__ = ("degree", "terms", "_signed", "_grouped")
 
     def __init__(self, degree: int, terms: dict | None = None):
         if degree < 0:
@@ -77,6 +77,7 @@ class AltForm:
         self.degree = degree
         self.terms = clean
         self._signed = None
+        self._grouped = None
 
     @classmethod
     def _raw(cls, degree: int, terms: dict) -> "AltForm":
@@ -84,6 +85,7 @@ class AltForm:
         form.degree = degree
         form.terms = terms
         form._signed = None
+        form._grouped = None
         return form
 
     @classmethod
@@ -161,35 +163,18 @@ class AltForm:
         return AltForm(self.degree + other.degree, acc)
 
     def evaluate(self, vectors: Sequence[Vector]) -> Fraction:
-        """Multilinear alternating evaluation on ``degree`` vectors."""
+        """Multilinear alternating evaluation on ``degree`` vectors of length 8.
+
+        The sum over the terms T of c_T det(A[T, :]), for A the 8 x k matrix
+        with the vectors as its columns, from the integer minor kernel
+        :func:`_minor_sums` on that one column set.
+        """
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} vectors, got {len(vectors)}")
-        if self.degree == 0:
-            return self.terms.get((), F0)
-        if not self.terms:
-            return F0
-        supports = [v.nonzero() for v in vectors]
-        size = 1
-        for s in supports:
-            size *= len(s)
-            if size > 128:
-                break
-        if size <= 128:
-            tab = signed_coefficients(self)
-            total = F0
-            for indices, weight in _index_products(supports):
-                c = tab.get(indices)
-                if c:
-                    total += weight * c
-            return total
-        # dense vectors: evaluate term-by-term via k x k minors
-        total = F0
-        for key, c in self.terms.items():
-            minor = [[v[i] for i in key] for v in vectors]
-            d = det(minor)
-            if d:
-                total += c * d
-        return total
+        if any(len(v) != DIM for v in vectors):
+            raise ValueError(f"need vectors of length {DIM}, got lengths "
+                             f"{[len(v) for v in vectors]}")
+        return _minor_sums(self, vectors).get(tuple(range(self.degree)), F0)
 
     def star(self) -> "AltForm":
         """Hodge star for the identity metric and orientation +e^{01234567}.
@@ -230,18 +215,6 @@ class AltForm:
         return f"AltForm({self.degree}, {print_form(self)!r})"
 
 
-def _index_products(supports):
-    """Yield (index tuple, coefficient product) over the nonzero supports."""
-    stack = [((), 1)]
-    for support in supports:
-        stack = [
-            (indices + (i,), weight * c)
-            for indices, weight in stack
-            for i, c in support
-        ]
-    return stack
-
-
 @cache
 def _permutation_signs(k: int) -> tuple[int, ...]:
     """Signs of ``permutations(range(k))``, in the order it yields them."""
@@ -268,14 +241,133 @@ def signed_coefficients(f: AltForm) -> dict[tuple[int, ...], Fraction]:
 
 
 def pullback(f: AltForm, m: Matrix) -> AltForm:
-    """The form (x_1, ..., x_k) -> f(m x_1, ..., m x_k)."""
-    cols = [m.column(j) for j in range(m.ncols)]
-    acc = {}
-    for key in combinations(range(DIM), f.degree):
-        value = f.evaluate([cols[i] for i in key])
-        if value:
-            acc[key] = value
-    return AltForm._raw(f.degree, acc)
+    """The form (x_1, ..., x_k) -> f(m x_1, ..., m x_k) of an 8 x 8 matrix.
+
+    Its coefficient on I is f evaluated on the columns I of m, and every one
+    of the C(8, k) column sets comes from one call of the integer minor
+    kernel :func:`_minor_sums`.
+    """
+    if (m.nrows, m.ncols) != (DIM, DIM):
+        raise ValueError(f"pullback needs an {DIM}x{DIM} matrix, got {m.nrows}x{m.ncols}")
+    return AltForm._raw(f.degree, _minor_sums(f, list(zip(*m.rows))))
+
+
+@cache
+def _subsets(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """The m-subsets of range(n) in ``combinations`` order, and their positions."""
+    subs = tuple(combinations(range(n), m))
+    return subs, {s: p for p, s in enumerate(subs)}
+
+
+@cache
+def _laplace_plan(n: int, k: int) -> tuple[tuple[int, list[int], list[int]], ...]:
+    """The Laplace expansion of a k x k minor along its first h = k // 2 rows,
+    for every k-subset I of n columns.
+
+    One (sign, left, right) per h-subset P of the positions 0..k-1: sign is
+    the sign of the shuffle P + (the other positions), and left[x] and
+    right[x] are the positions, in ``_subsets(n, h)`` and
+    ``_subsets(n, k - h)``, of I's columns at P and at the other positions,
+    for the x-th I of ``_subsets(n, k)``.
+    """
+    h = k // 2
+    colsets = _subsets(n, k)[0]
+    at_left, at_right = _subsets(n, h)[1], _subsets(n, k - h)[1]
+    plan = []
+    for pos in combinations(range(k), h):
+        rest = tuple(p for p in range(k) if p not in pos)
+        sign = -1 if sum(1 for a in pos for b in rest if b < a) % 2 else 1
+        plan.append((sign,
+                     [at_left[tuple(cols[p] for p in pos)] for cols in colsets],
+                     [at_right[tuple(cols[p] for p in rest)] for cols in colsets]))
+    return tuple(plan)
+
+
+def _grouped_terms(f: AltForm) -> tuple[int, tuple]:
+    """(D, ((H, ((L, c), ...)), ...)): each term T = H + L, split after
+    degree // 2 indices and grouped by H, with the integer coefficient
+    c = D * coefficient, D the lcm of the denominators. Kept in the form's
+    ``_grouped`` slot, like :func:`signed_coefficients`."""
+    if f._grouped is None:
+        den, terms = clear_denominators(list(f.terms.items()))
+        h = f.degree // 2
+        groups: dict[tuple[int, ...], list] = {}
+        for key, c in terms:
+            groups.setdefault(key[:h], []).append((key[h:], c))
+        f._grouped = den, tuple((high, tuple(low)) for high, low in groups.items())
+    return f._grouped
+
+
+def _minors(rows: list, rs: tuple[int, ...], n: int, memo: dict) -> list[int]:
+    """det(rows[rs, S]) for every S in ``_subsets(n, len(rs))``, memoized on rs.
+
+    Sizes 0 and 2 are written out; any other size expands along its first
+    row into the minors of the remaining rows.
+    """
+    got = memo.get(rs)
+    if got is None:
+        subs = _subsets(n, len(rs))[0]
+        if not rs:
+            got = [1]
+        elif len(rs) == 2:
+            r0, r1 = rows[rs[0]], rows[rs[1]]
+            got = [r0[p] * r1[q] - r0[q] * r1[p] for p, q in subs]
+        else:
+            r0, below = rows[rs[0]], _minors(rows, rs[1:], n, memo)
+            at = _subsets(n, len(rs) - 1)[1]
+            got = [sum((-1) ** j * r0[c] * below[at[s[:j] + s[j + 1:]]]
+                       for j, c in enumerate(s)) for s in subs]
+        memo[rs] = got
+    return got
+
+
+def _minor_sums(f: AltForm, columns: Sequence[Sequence]) -> dict[tuple[int, ...], Fraction]:
+    """{I: f(columns[I])} over the k-subsets I of the columns (k = degree,
+    each column of length 8), zero values absent: the one integer kernel of
+    :meth:`AltForm.evaluate` and :func:`pullback`.
+
+    Each column is cleared of denominators once, and the form's coefficients
+    are scaled to integers once (:func:`_grouped_terms`). With the columns
+    as the integer matrix A, the value on I is sum_T c_T det(A[T, I]) in
+    Python ints: each det expands along T's first half H of rows (Laplace,
+    :func:`_laplace_plan`) into the minors of H and of the other half L,
+    those minors are built once per row set for every column subset, and
+    the terms sharing H are summed before the expansion. A term on a row
+    that is zero in every column is skipped, so sparse vectors stay cheap.
+    Each value is divided once, by D times the clearing factors of I's
+    columns.
+    """
+    k, n = f.degree, len(columns)
+    den, groups = _grouped_terms(f)
+    scales, cols = [], []
+    for comps in columns:
+        d, entries = clear_denominators(list(enumerate(comps)))
+        scales.append(d)
+        cols.append([x for _, x in entries])
+    rows = list(zip(*cols))
+    live = {i for i, row in enumerate(rows) if any(row)}
+    plan = _laplace_plan(n, k)
+    colsets = _subsets(n, k)[0]
+    acc = [0] * len(colsets)
+    memo: dict[tuple[int, ...], list[int]] = {}
+    for high, lows in groups:
+        lows = [(low, c) for low, c in lows if live.issuperset(high + low)]
+        if not lows:
+            continue
+        tail = [0] * len(_subsets(n, k - k // 2)[0])  # sum_L c_T minors(L), T = high + L
+        for low, c in lows:
+            tail = [t + c * x for t, x in zip(tail, _minors(rows, low, n, memo))]
+        head = _minors(rows, high, n, memo)
+        for sign, left, right in plan:
+            acc = [a + sign * head[i] * tail[j] for a, i, j in zip(acc, left, right)]
+    out = {}
+    for cols_i, total in zip(colsets, acc):
+        if total:
+            q = den
+            for j in cols_i:
+                q *= scales[j]
+            out[cols_i] = Fraction(total, q)
+    return out
 
 
 # The Cayley 4-form: 14 terms, coefficients +/-1, self-dual for the fixed

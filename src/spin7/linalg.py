@@ -44,6 +44,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), 1 if den is None else int(den))
 
 
+def clear_denominators(entries: Sequence[tuple[object, Scalarish]]) -> tuple[int, list[tuple]]:
+    """(d, [(k, d * c), ...]) for entries (k, c), d the lcm of the
+    denominators, so every scaled value is an int."""
+    d = lcm(*[c.denominator for _, c in entries])
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in entries]
+
+
 def _excerpt(text: str) -> str:
     """``repr`` of the text, cut to 40 characters so errors stay short."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"

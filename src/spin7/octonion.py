@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 from .cross import CrossProduct, default_cross
 from .forms import AltForm
-from .linalg import Vector
+from .linalg import Vector, clear_denominators
 
 
 class SignedUnit(NamedTuple):
@@ -51,7 +51,7 @@ class UnitTable:
     and mu flips the sign of every off-diagonal entry.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_products")
 
     def __init__(self, entries: dict[tuple[int, int], SignedUnit]):
         for lam in range(1, 8):
@@ -68,6 +68,11 @@ class UnitTable:
                 if entries[(mu, lam)] != -unit:
                     raise ValueError(f"entries ({lam},{mu}) and ({mu},{lam}) are not opposite")
         self.entries = dict(entries)
+        # e_i * e_j at [i][j] for i, j in 0..7, e_0 the unit
+        self._products = tuple(
+            tuple(SignedUnit(i + j, 1) if 0 in (i, j) else SignedUnit(0, -1) if i == j
+                  else self.entries[(i, j)] for j in range(8))
+            for i in range(8))
 
     @classmethod
     def from_form(cls, phi: AltForm | None = None) -> "UnitTable":
@@ -97,13 +102,7 @@ class UnitTable:
         """Full unit product e_i * e_j for i, j in 0..7 (e_0 is the unit)."""
         if not (0 <= i < 8 and 0 <= j < 8):
             raise ValueError("unit indices must lie in 0..7")
-        if i == 0:
-            return SignedUnit(j, 1)
-        if j == 0:
-            return SignedUnit(i, 1)
-        if i == j:
-            return SignedUnit(0, -1)
-        return self.entries[(i, j)]
+        return self._products[i][j]
 
     def imaginary(self, lam: int, mu: int) -> SignedUnit:
         """Table entry for imaginary units lam, mu in 1..7 (diagonal: -e_0)."""
@@ -184,18 +183,25 @@ class Octonion(Vector):
 
 
 def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    """Bilinear product extending the unit table, with e_0 the two-sided unit."""
-    table = default_table()
+    """Bilinear product extending the unit table, with e_0 the two-sided unit.
+
+    x and y are cleared of denominators once, the products of their nonzero
+    components accumulate in Python ints over the table, and the result is
+    divided once at the end; every integral component is an int, as in
+    :meth:`CrossProduct.cross3` when the denominator is 1.
+    """
+    products = default_table()._products
+    (dx, xs), (dy, ys) = clear_denominators(x.nonzero()), clear_denominators(y.nonzero())
     out = [0] * 8
-    for i, a in enumerate(x.comps):
-        if not a:
-            continue
-        for j, b in enumerate(y.comps):
-            if not b:
-                continue
-            unit = table.product(i, j)
-            out[unit.index] += a * b * unit.sign
-    return Octonion(out)
+    for i, a in xs:
+        row = products[i]
+        for j, b in ys:
+            m, sign = row[j]
+            out[m] += sign * a * b
+    den = dx * dy
+    if den == 1:
+        return Octonion(out)
+    return Octonion(Fraction(t, den) if t % den else t // den for t in out)
 
 
 def associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:

@@ -1,12 +1,16 @@
 """Alternating forms: the 4-form, evaluation, Hodge star, wedge, text format."""
 
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
+from spin7.acs import FrameNotAdmissible, check_frame
 from spin7.forms import (
     AltForm,
     FormParseError,
@@ -18,6 +22,9 @@ from spin7.forms import (
     sort_with_sign,
 )
 from spin7.linalg import Matrix, Vector
+from spin7.stabilizers import spin7
+
+from test_cross import fractional_form
 
 E = [Vector.basis(8, i) for i in range(8)]
 
@@ -180,6 +187,123 @@ class TestPullback:
         for i in range(8):
             rows[perm[i]][i] = 1
         assert pullback(phi, Matrix(rows)) != phi
+
+
+def as_sympy(x):
+    """An int or Fraction as an element of sympy's rational field QQ."""
+    return QQ(x.numerator, x.denominator)
+
+
+def sympy_matrix(columns):
+    """The 8 x n matrix over QQ with the given columns, as a DomainMatrix."""
+    return DomainMatrix([[as_sympy(c[i]) for c in columns] for i in range(8)],
+                        (8, len(columns)), QQ)
+
+
+def sympy_value(f, columns, a=None):
+    """sum_T c_T det(A[T, I]) by sympy's determinant, for A =
+    sympy_matrix(columns) and I its k columns, or for A = a and I = columns
+    (column indices) when a is given."""
+    a, cols = (sympy_matrix(columns), list(range(f.degree))) if a is None else (a, list(columns))
+    return sum((as_sympy(c) * (a.extract(list(key), cols).det() if key else 1)
+                for key, c in f.terms.items()), QQ(0))
+
+
+def dense_matrices(seed):
+    """A non-orthogonal, a singular and a zero-column rational 8 x 8 matrix."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    dense = [[entry() for _ in range(8)] for _ in range(8)]
+    singular = [row[:7] + [row[1] - 3 * row[4]] for row in dense]
+    zero_column = [row[:2] + [0] + row[3:] for row in dense]
+    return [Matrix(dense), Matrix(singular), Matrix(zero_column)]
+
+
+def degree_forms():
+    """phi, a form with fractional coefficients, and forms of degree 0-3 and 8."""
+    rng = random.Random(41)
+    forms = [cayley_form(), fractional_form(), AltForm(0, {(): Fraction(-7, 3)}),
+             AltForm(8, {tuple(range(8)): Fraction(5, 2)})]
+    for k in (1, 2, 3):
+        keys = rng.sample(list(combinations(range(8), k)), 6)
+        forms.append(AltForm(k, {key: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                                 for key in keys}))
+    return forms
+
+
+FORM_IDS = ["phi", "fractional", "deg0", "deg8", "deg1", "deg2", "deg3"]
+
+
+class TestMinorKernel:
+    """``evaluate`` and ``pullback`` against sympy determinants."""
+
+    @pytest.mark.parametrize("form", degree_forms(), ids=FORM_IDS)
+    def test_evaluate_matches_sympy(self, form):
+        for m in dense_matrices(7):
+            columns = [m.column(j) for j in range(form.degree)]
+            assert as_sympy(form.evaluate(columns)) == sympy_value(form, columns)
+
+    @pytest.mark.parametrize("form", degree_forms(), ids=FORM_IDS)
+    def test_pullback_matches_sympy(self, form):
+        for m in dense_matrices(8):
+            image, a = pullback(form, m), sympy_matrix([m.column(j) for j in range(8)])
+            assert image.degree == form.degree
+            for key in combinations(range(8), form.degree):
+                assert as_sympy(image.coefficient(key)) == sympy_value(form, key, a)
+            assert all(c for c in image.terms.values())
+
+    def test_zero_column_kills_the_terms_through_it(self):
+        m = dense_matrices(9)[2]
+        image = pullback(cayley_form(), m)
+        assert image.terms and all(2 not in key for key in image.terms)
+
+    def test_plane_rotation_does_not_preserve_phi(self):
+        # a rational rotation by (3/5, 4/5) in the (e0, e1) plane: orthogonal
+        # with det 1, but not in Spin(7)
+        rows = [[int(i == j) for j in range(8)] for i in range(8)]
+        rows[0][0], rows[0][1], rows[1][0], rows[1][1] = (
+            Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
+        r = Matrix(rows)
+        phi = cayley_form()
+        image = pullback(phi, r)
+        assert image != phi
+        a = sympy_matrix([r.column(j) for j in range(8)])
+        for key in combinations(range(8), 4):
+            assert as_sympy(image.coefficient(key)) == sympy_value(phi, key, a)
+        with pytest.raises(FrameNotAdmissible, match="does not preserve the form"):
+            check_frame(r)
+
+    @pytest.mark.parametrize("shape", [(7, 7), (8, 7), (7, 8), (9, 9)])
+    def test_pullback_rejects_other_shapes(self, shape):
+        m = Matrix([[1] * shape[1] for _ in range(shape[0])])
+        with pytest.raises(ValueError, match=f"{shape[0]}x{shape[1]}"):
+            pullback(cayley_form(), m)
+
+    @pytest.mark.parametrize("length", [3, 7, 9])
+    def test_evaluate_rejects_other_lengths(self, length):
+        vectors = [Vector([1] * length)] + E[1:4]
+        with pytest.raises(ValueError, match=f"length 8, got lengths \\[{length}, 8, 8, 8\\]"):
+            cayley_form().evaluate(vectors)
+
+    def test_no_elimination_on_the_route(self, monkeypatch):
+        # a dense admissible frame and dense vectors never reach RowSpan; the
+        # frame is a product of Cayley transforms of spin(7) basis elements
+        eye, r = Matrix.identity(8), Matrix.identity(8)
+        for b in (spin7().basis[i] * Fraction(1, 2) for i in (0, 5, 11)):
+            r = r @ (eye - b) @ (eye + b).inverse()
+        dense = [r.column(j) + E[j] * Fraction(1, 7) for j in range(4)]
+        expected = sympy_value(cayley_form(), dense)
+
+        def unexpected(self, row):
+            raise AssertionError("RowSpan._insert called")
+
+        monkeypatch.setattr("spin7.linalg.RowSpan._insert", unexpected)
+        assert sum(1 for row in r.rows for x in row if x) > 8
+        assert pullback(cayley_form(), r) == cayley_form()
+        assert as_sympy(cayley_form().evaluate(dense)) == expected
 
 
 class TestSortWithSign:

@@ -1,5 +1,6 @@
 """Octonion arithmetic and the derived unit product table."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,66 @@ class TestOctonionProduct:
         x, y, z = UNITS[1] + UNITS[2], UNITS[3], UNITS[5] - UNITS[0]
         assert (x + y) * z == x * z + y * z
         assert z * (x + y) == z * x + z * y
+
+
+def expanded_product(x, y):
+    """x y as Fractions, summed term by term over the unit table."""
+    out = [Fraction(0)] * 8
+    for i in range(8):
+        for j in range(8):
+            unit = default_table().product(i, j)
+            out[unit.index] += Fraction(x[i]) * Fraction(y[j]) * unit.sign
+    return out
+
+
+class TestOctMulKernel:
+    """``oct_mul`` against the term-by-term Fraction expansion."""
+
+    @staticmethod
+    def dense_pairs(seed, count=20):
+        rng = random.Random(seed)
+
+        def comp():
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+
+        return [(Octonion([comp() for _ in range(8)]), Octonion([comp() for _ in range(8)]))
+                for _ in range(count)]
+
+    def test_dense_rationals(self):
+        for x, y in self.dense_pairs(51):
+            xy = oct_mul(x, y)
+            assert type(xy) is Octonion
+            assert list(xy.comps) == expanded_product(x, y)
+
+    def test_mixed_int_and_fraction_components(self):
+        x = Octonion([1, Fraction(1, 2), 0, -3, Fraction(2), 0, Fraction(-5, 6), 7])
+        y = Octonion([Fraction(3, 4), 0, 2, Fraction(-1, 3), 0, 1, 0, Fraction(4)])
+        assert list(oct_mul(x, y).comps) == expanded_product(x, y)
+        assert list(oct_mul(y, x).comps) == expanded_product(y, x)
+
+    def test_zero(self):
+        zero = Octonion([0] * 8)
+        for x, _ in self.dense_pairs(52, 3):
+            for a, b in ((zero, x), (x, zero), (zero, zero)):
+                xy = oct_mul(a, b)
+                assert type(xy) is Octonion and xy.comps == (0,) * 8
+                assert all(type(c) is int for c in xy.comps)
+
+    def test_integral_results_have_int_components(self):
+        # integral inputs, Fraction-typed or not, and fractional inputs with
+        # an integral product (1/2 e1 times 2 e2 is e3)
+        cases = [(Octonion([1, 2, 0, -1, 3, 0, 0, 5]), Octonion([0, 1, -2, 0, 0, 4, 1, 0])),
+                 (Octonion([Fraction(2)] + [0] * 7), Octonion([Fraction(-3)] * 8)),
+                 (UNITS[1] * Fraction(1, 2), UNITS[2] * 2)]
+        for x, y in cases:
+            xy = oct_mul(x, y)
+            assert list(xy.comps) == expanded_product(x, y)
+            assert all(type(c) is int for c in xy.comps)
+        assert oct_mul(*cases[2]) == UNITS[3]
+
+    def test_fractional_result_keeps_fractions(self):
+        xy = oct_mul(UNITS[1] * Fraction(1, 2), UNITS[2] * Fraction(1, 3))
+        assert xy.comps[3] == Fraction(1, 6) and type(xy.comps[3]) is Fraction
 
 
 class TestAssociator:
