@@ -52,7 +52,7 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 class AltForm:
     """Alternating k-form stored as {increasing index tuple: coefficient}."""
 
-    __slots__ = ("degree", "terms", "_signed", "_grouped")
+    __slots__ = ("degree", "terms", "_signed")
 
     def __init__(self, degree: int, terms: dict | None = None):
         if degree < 0:
@@ -77,7 +77,6 @@ class AltForm:
         self.degree = degree
         self.terms = clean
         self._signed = None
-        self._grouped = None
 
     @classmethod
     def _raw(cls, degree: int, terms: dict) -> "AltForm":
@@ -85,7 +84,6 @@ class AltForm:
         form.degree = degree
         form.terms = terms
         form._signed = None
-        form._grouped = None
         return form
 
     @classmethod
@@ -260,63 +258,28 @@ def _subsets(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
 
 
 @cache
-def _laplace_plan(n: int, k: int) -> tuple[tuple[int, list[int], list[int]], ...]:
-    """The Laplace expansion of a k x k minor along its first h = k // 2 rows,
-    for every k-subset I of n columns.
-
-    One (sign, left, right) per h-subset P of the positions 0..k-1: sign is
-    the sign of the shuffle P + (the other positions), and left[x] and
-    right[x] are the positions, in ``_subsets(n, h)`` and
-    ``_subsets(n, k - h)``, of I's columns at P and at the other positions,
-    for the x-th I of ``_subsets(n, k)``.
-    """
-    h = k // 2
-    colsets = _subsets(n, k)[0]
-    at_left, at_right = _subsets(n, h)[1], _subsets(n, k - h)[1]
-    plan = []
-    for pos in combinations(range(k), h):
-        rest = tuple(p for p in range(k) if p not in pos)
-        sign = -1 if sum(1 for a in pos for b in rest if b < a) % 2 else 1
-        plan.append((sign,
-                     [at_left[tuple(cols[p] for p in pos)] for cols in colsets],
-                     [at_right[tuple(cols[p] for p in rest)] for cols in colsets]))
-    return tuple(plan)
-
-
-def _grouped_terms(f: AltForm) -> tuple[int, tuple]:
-    """(D, ((H, ((L, c), ...)), ...)): each term T = H + L, split after
-    degree // 2 indices and grouped by H, with the integer coefficient
-    c = D * coefficient, D the lcm of the denominators. Kept in the form's
-    ``_grouped`` slot, like :func:`signed_coefficients`."""
-    if f._grouped is None:
-        den, terms = clear_denominators(list(f.terms.items()))
-        h = f.degree // 2
-        groups: dict[tuple[int, ...], list] = {}
-        for key, c in terms:
-            groups.setdefault(key[:h], []).append((key[h:], c))
-        f._grouped = den, tuple((high, tuple(low)) for high, low in groups.items())
-    return f._grouped
+def _first_row_plan(n: int, m: int) -> tuple[tuple[int, list[int], list[int]], ...]:
+    """The expansion of an m x m minor along its first row, for every
+    m-subset S of n columns: one (sign, cols, rest) per position j, where
+    cols[x] is the column at j of the x-th S of ``_subsets(n, m)`` and
+    rest[x] the position of S without it in ``_subsets(n, m - 1)``."""
+    subs, at = _subsets(n, m)[0], _subsets(n, m - 1)[1]
+    return tuple((-1 if j % 2 else 1, [s[j] for s in subs], [at[s[:j] + s[j + 1:]] for s in subs])
+                 for j in range(m))
 
 
 def _minors(rows: list, rs: tuple[int, ...], n: int, memo: dict) -> list[int]:
-    """det(rows[rs, S]) for every S in ``_subsets(n, len(rs))``, memoized on rs.
-
-    Sizes 0 and 2 are written out; any other size expands along its first
-    row into the minors of the remaining rows.
-    """
+    """det(rows[rs, S]) for every S in ``_subsets(n, len(rs))``, memoized on rs:
+    expanded along the first row into the minors of the remaining rows."""
     got = memo.get(rs)
     if got is None:
-        subs = _subsets(n, len(rs))[0]
         if not rs:
             got = [1]
-        elif len(rs) == 2:
-            r0, r1 = rows[rs[0]], rows[rs[1]]
-            got = [r0[p] * r1[q] - r0[q] * r1[p] for p, q in subs]
         else:
             r0, below = rows[rs[0]], _minors(rows, rs[1:], n, memo)
-            at = _subsets(n, len(rs) - 1)[1]
-            got = [sum((-1) ** j * r0[c] * below[at[s[:j] + s[j + 1:]]]
-                       for j, c in enumerate(s)) for s in subs]
+            got = [0] * len(_subsets(n, len(rs))[0])
+            for sign, cols, rest in _first_row_plan(n, len(rs)):
+                got = [g + sign * r0[c] * below[p] for g, c, p in zip(got, cols, rest)]
         memo[rs] = got
     return got
 
@@ -327,18 +290,17 @@ def _minor_sums(f: AltForm, columns: Sequence[Sequence]) -> dict[tuple[int, ...]
     :meth:`AltForm.evaluate` and :func:`pullback`.
 
     Each column is cleared of denominators once, and the form's coefficients
-    are scaled to integers once (:func:`_grouped_terms`). With the columns
-    as the integer matrix A, the value on I is sum_T c_T det(A[T, I]) in
-    Python ints: each det expands along T's first half H of rows (Laplace,
-    :func:`_laplace_plan`) into the minors of H and of the other half L,
-    those minors are built once per row set for every column subset, and
-    the terms sharing H are summed before the expansion. A term on a row
-    that is zero in every column is skipped, so sparse vectors stay cheap.
-    Each value is divided once, by D times the clearing factors of I's
-    columns.
+    are scaled to integers once, by the lcm D of their denominators. With
+    the columns as the integer matrix A, the value on I is
+    sum_T c_T det(A[T, I]) in Python ints, each det expanded along its
+    first row (:func:`_minors`); the sub-minors of a row set are built once
+    for every column subset and shared by the terms. A term on a
+    row that is zero in every column is skipped, so sparse vectors stay
+    cheap. Each value is divided once, by D times the clearing factors of
+    I's columns.
     """
     k, n = f.degree, len(columns)
-    den, groups = _grouped_terms(f)
+    den, terms = clear_denominators(list(f.terms.items()))
     scales, cols = [], []
     for comps in columns:
         d, entries = clear_denominators(list(enumerate(comps)))
@@ -346,20 +308,12 @@ def _minor_sums(f: AltForm, columns: Sequence[Sequence]) -> dict[tuple[int, ...]
         cols.append([x for _, x in entries])
     rows = list(zip(*cols))
     live = {i for i, row in enumerate(rows) if any(row)}
-    plan = _laplace_plan(n, k)
     colsets = _subsets(n, k)[0]
     acc = [0] * len(colsets)
     memo: dict[tuple[int, ...], list[int]] = {}
-    for high, lows in groups:
-        lows = [(low, c) for low, c in lows if live.issuperset(high + low)]
-        if not lows:
-            continue
-        tail = [0] * len(_subsets(n, k - k // 2)[0])  # sum_L c_T minors(L), T = high + L
-        for low, c in lows:
-            tail = [t + c * x for t, x in zip(tail, _minors(rows, low, n, memo))]
-        head = _minors(rows, high, n, memo)
-        for sign, left, right in plan:
-            acc = [a + sign * head[i] * tail[j] for a, i, j in zip(acc, left, right)]
+    for key, c in terms:
+        if live.issuperset(key):
+            acc = [a + c * x for a, x in zip(acc, _minors(rows, key, n, memo))]
     out = {}
     for cols_i, total in zip(colsets, acc):
         if total:

@@ -48,10 +48,12 @@ class UnitTable:
 
     Every off-diagonal product is a signed basis unit +/-e_nu with
     nu not in {0, lam, mu}; the diagonal is fixed to -e_0 and swapping lam
-    and mu flips the sign of every off-diagonal entry.
+    and mu flips the sign of every off-diagonal entry. ``products[i][j]``
+    is the full unit product e_i * e_j for i, j in 0..7, with e_0 the unit:
+    the one place where the unit and diagonal rules are written.
     """
 
-    __slots__ = ("entries", "_products")
+    __slots__ = ("entries", "products")
 
     def __init__(self, entries: dict[tuple[int, int], SignedUnit]):
         for lam in range(1, 8):
@@ -68,8 +70,7 @@ class UnitTable:
                 if entries[(mu, lam)] != -unit:
                     raise ValueError(f"entries ({lam},{mu}) and ({mu},{lam}) are not opposite")
         self.entries = dict(entries)
-        # e_i * e_j at [i][j] for i, j in 0..7, e_0 the unit
-        self._products = tuple(
+        self.products = tuple(
             tuple(SignedUnit(i + j, 1) if 0 in (i, j) else SignedUnit(0, -1) if i == j
                   else self.entries[(i, j)] for j in range(8))
             for i in range(8))
@@ -102,13 +103,13 @@ class UnitTable:
         """Full unit product e_i * e_j for i, j in 0..7 (e_0 is the unit)."""
         if not (0 <= i < 8 and 0 <= j < 8):
             raise ValueError("unit indices must lie in 0..7")
-        return self._products[i][j]
+        return self.products[i][j]
 
     def imaginary(self, lam: int, mu: int) -> SignedUnit:
         """Table entry for imaginary units lam, mu in 1..7 (diagonal: -e_0)."""
         if not (1 <= lam < 8 and 1 <= mu < 8):
             raise ValueError("imaginary unit indices must lie in 1..7")
-        return SignedUnit(0, -1) if lam == mu else self.entries[(lam, mu)]
+        return self.products[lam][mu]
 
     def structure_constant(self, lam: int, mu: int, nu: int) -> int:
         """Coefficient of e_nu in e_lam * e_mu for distinct lam, mu in 1..7."""
@@ -190,7 +191,7 @@ def oct_mul(x: Octonion, y: Octonion) -> Octonion:
     divided once at the end; every integral component is an int, as in
     :meth:`CrossProduct.cross3` when the denominator is 1.
     """
-    products = default_table()._products
+    products = default_table().products
     (dx, xs), (dy, ys) = clear_denominators(x.nonzero()), clear_denominators(y.nonzero())
     out = [0] * 8
     for i, a in xs:
